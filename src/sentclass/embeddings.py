@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .text import PAD_TOKEN, hash_index, murmur3_32
+from .text import PAD_TOKEN, murmur3_32
 
 OOV_ZERO = "zero"
 OOV_RANDOM = "random-fixed"
@@ -173,20 +173,4 @@ def lookup_matrix(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
     out = np.zeros((len(tokens), table.dim), dtype=np.float64)
     for i, token in enumerate(tokens):
         out[i] = table.vector(token)
-    return out
-
-
-def onehot_matrix(tokens: list[str], dim: int) -> np.ndarray:
-    """Hashed one-hot rows: row i is 1 at hash_index(token_i, dim), else 0.
-
-    Padding rows are all zero.
-    """
-    if dim < 2:
-        raise ValueError(f"one-hot dimension must be at least 2, got {dim}")
-    if not tokens:
-        raise ValueError("token sequence is empty")
-    out = np.zeros((len(tokens), dim), dtype=np.float64)
-    for i, token in enumerate(tokens):
-        if token != PAD_TOKEN:
-            out[i, hash_index(token, dim)] = 1.0
     return out

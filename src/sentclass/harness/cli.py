@@ -2,13 +2,15 @@
 
 Subcommands: ``train`` (fit one model, write checkpoint/curve/config files),
 ``eval`` (accuracy of a checkpoint on a test file), ``predict`` (label one
-sentence per stdin line), ``bench`` (run a grid file and print the accuracy
+sentence per stdin line, scoring the lines in batched chunks through the
+route ``eval`` uses), ``bench`` (run a grid file and print the accuracy
 table).  Config precedence: built-in defaults, then --config file values,
 then explicit flags.  Exit codes: 0 success, 1 usage or config error,
 2 data error, 3 diverged training.
 """
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from ..embeddings import (
     load_binary_vectors,
     load_text_vectors,
 )
-from ..models import predict as predict_class
 from ..models.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ..text import EmptySentenceError, Vocabulary, tokenize
 from .data import (
@@ -31,6 +32,7 @@ from .data import (
     split,
 )
 from .run import (
+    _EVAL_CHUNK,
     ARCHS,
     ConfigError,
     CountEncoder,
@@ -46,6 +48,7 @@ from .run import (
     config_to_text,
     emit_curve,
     evaluate,
+    predict,
     read_config_file,
     train_run,
 )
@@ -174,8 +177,18 @@ def _pipeline_meta(cfg: RunConfig, train: Dataset, encoder) -> dict:
     return meta
 
 
+# checkpoint metadata each encoding needs beyond labels, dim and max_len
+_META_KEYS = {"glove": ("oov_policy", "seed"), "word2vec": ("oov_policy", "seed"),
+              "onehot": (), "counts": ("vocab",)}
+
+
 def _encoder_from_meta(meta: dict, embeddings_override=None):
-    encoding = meta["encoding"]
+    encoding = meta.get("encoding")
+    if encoding not in _META_KEYS:
+        raise CheckpointError(f"checkpoint metadata names no known encoding: {encoding!r}")
+    missing = [k for k in ("labels", "dim", "max_len", *_META_KEYS[encoding]) if k not in meta]
+    if missing:
+        raise CheckpointError(f"checkpoint metadata lacks {', '.join(missing)}")
     if encoding in ("glove", "word2vec"):
         path = embeddings_override or meta.get("embeddings")
         if not path:
@@ -232,11 +245,14 @@ def _cmd_predict(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
     encoder = _encoder_from_meta(meta, args.embeddings)
     labels = meta["labels"]
-    for line in sys.stdin:
-        if not line.strip():
+    while lines := list(itertools.islice(sys.stdin, _EVAL_CHUNK)):
+        # lines before the first blank one are still labelled
+        blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
+        chunk = Dataset([(0, tokenize(line)) for line in lines[:blank]], labels)
+        for index in predict(params, encoder.encode_many(chunk), encoder):
+            print(labels[index])
+        if blank < len(lines):
             raise DataFormatError("blank input line cannot be classified")
-        tokens = tokenize(line)
-        print(labels[predict_class(params, encoder.encode(tokens))])
     return EXIT_OK
 
 

@@ -17,17 +17,7 @@ from ..embeddings import (
     load_binary_vectors,
     load_text_vectors,
     lookup_matrix,
-    onehot_matrix,
 )
-from ..models.cnn import (
-    cnn_batch_grads,
-    cnn_batch_grads_hashed,
-    cnn_batch_probs,
-    cnn_batch_probs_hashed,
-)
-from ..models.fnn import fnn_batch_loss_grads, fnn_batch_probs
-from ..models.lstm import lstm_batch_grads, lstm_batch_probs
-from ..models.rnn import rnn_batch_grads, rnn_batch_probs
 from ..optim import AdagradState, adagrad_step, lbfgs_minimize, sgd_step
 from ..text import (
     PAD_TOKEN,
@@ -171,9 +161,6 @@ class HashedSequenceEncoder:
     def dim(self) -> int:
         return self._dim
 
-    def encode(self, tokens) -> np.ndarray:
-        return onehot_matrix(pad_or_truncate(tokens, self.max_len), self._dim)
-
     def indices(self, tokens) -> np.ndarray:
         padded = pad_or_truncate(tokens, self.max_len)
         return np.array(
@@ -233,18 +220,13 @@ def build_encoder(cfg: RunConfig, train: Dataset):
 
 
 def _arch_spec(cfg: RunConfig, input_dim: int, classes: int):
+    """The spec of ``cfg.arch``, each of its fields taken from the config."""
     hidden = cfg.resolved_hidden
-    if cfg.arch == "fnn":
-        return models.FnnSpec((input_dim, hidden, classes))
-    if cfg.arch == "cnn":
-        return models.CnnSpec(embed_dim=input_dim, classes=classes,
-                              n_filters=cfg.filters, window=cfg.window,
-                              hidden=hidden, dropout=cfg.dropout)
-    if cfg.arch == "rnn":
-        return models.RnnSpec(embed_dim=input_dim, classes=classes,
-                              hidden=hidden, dropout=cfg.dropout)
-    return models.LstmSpec(embed_dim=input_dim, classes=classes,
-                           hidden=hidden, dropout=cfg.dropout)
+    values = {"layer_sizes": (input_dim, hidden, classes), "embed_dim": input_dim,
+              "classes": classes, "n_filters": cfg.filters, "window": cfg.window,
+              "hidden": hidden, "dropout": cfg.dropout}
+    spec = models.FAMILIES[cfg.arch].spec
+    return spec(**{f.name: values[f.name] for f in fields(spec)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,44 +299,46 @@ def compare_table(runs: list[tuple[str, float]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _batch_functions(cfg: RunConfig, encoder):
-    """(grads_fn, probs_fn) pair matched to architecture and input carrier."""
-    if cfg.arch == "fnn":
-        def grads_fn(params, xs, ys, rng):
-            loss, grads = fnn_batch_loss_grads(params, xs, ys)
-            return loss, grads
-        return grads_fn, lambda params, xs: fnn_batch_probs(params, xs)
-    if cfg.arch == "cnn" and encoder.kind == "hashed":
-        def grads_fn(params, xs, ys, rng):
-            losses, grads = cnn_batch_grads_hashed(params, xs, ys, train=True, rng=rng)
-            return float(losses.mean()), grads
-        return grads_fn, cnn_batch_probs_hashed
-    dense_grads = {"cnn": cnn_batch_grads, "rnn": rnn_batch_grads,
-                   "lstm": lstm_batch_grads}[cfg.arch]
-    dense_probs = {"cnn": cnn_batch_probs, "rnn": rnn_batch_probs,
-                   "lstm": lstm_batch_probs}[cfg.arch]
+def _batch_functions(cfg, encoder):
+    """(grads_fn, probs_fn) for ``cfg.arch`` on the encoder's input carrier.
+
+    ``cfg`` is a RunConfig or a parameter set; both carry the arch tag.
+    ``grads_fn(params, xs, ys, rng, want_dx=False)`` returns the mean
+    training loss, the batch-mean gradients and, when asked, the input
+    gradient; ``probs_fn(params, xs)`` returns eval-mode class
+    distributions.  Hashed index batches go to the family's index kernels
+    where it has them and are expanded to one-hot rows otherwise.
+    """
+    family = models.FAMILIES[cfg.arch]
+    batch_grads, batch_probs = family.grads, family.probs
     if encoder.kind == "hashed":
-        def grads_fn(params, xs, ys, rng):
-            losses, grads = dense_grads(params, encoder.densify(xs), ys,
-                                        train=True, rng=rng)
-            return float(losses.mean()), grads
+        batch_grads = family.hashed_grads or _densified(family.grads, encoder)
+        batch_probs = family.hashed_probs or _densified(family.probs, encoder)
 
-        def probs_fn(params, xs):
-            return dense_probs(params, encoder.densify(xs))
-        return grads_fn, probs_fn
+    def grads_fn(params, xs, ys, rng, want_dx=False):
+        losses, *rest = batch_grads(params, xs, ys, train=True, rng=rng, want_dx=want_dx)
+        return (float(losses.mean()), *rest)
+    return grads_fn, batch_probs
 
-    def grads_fn(params, xs, ys, rng):
-        losses, grads = dense_grads(params, xs, ys, train=True, rng=rng)
-        return float(losses.mean()), grads
-    return grads_fn, dense_probs
+
+def _densified(batch_fn, encoder):
+    """``batch_fn`` applied to index batches expanded to explicit one-hot rows."""
+    def on_indices(params, idx, *args, **kwargs):
+        return batch_fn(params, encoder.densify(idx), *args, **kwargs)
+    return on_indices
+
+
+def _classes(probs_fn, params, xs) -> np.ndarray:
+    """Most probable class of each input, scored in chunks of ``_EVAL_CHUNK``;
+    ties go to the smallest class index."""
+    out = np.empty(len(xs), dtype=np.int64)
+    for lo in range(0, len(xs), _EVAL_CHUNK):
+        out[lo:lo + _EVAL_CHUNK] = probs_fn(params, xs[lo:lo + _EVAL_CHUNK]).argmax(axis=1)
+    return out
 
 
 def _accuracy(probs_fn, params, x_test, y_test) -> float:
-    hits = 0
-    for lo in range(0, len(y_test), _EVAL_CHUNK):
-        probs = probs_fn(params, x_test[lo:lo + _EVAL_CHUNK])
-        hits += int((probs.argmax(axis=1) == y_test[lo:lo + _EVAL_CHUNK]).sum())
-    return hits / len(y_test)
+    return int((_classes(probs_fn, params, x_test) == y_test).sum()) / len(y_test)
 
 
 class _FineTuner:
@@ -433,14 +417,15 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     params = models.init_params(_arch_spec(cfg, encoder.dim, classes), init_seq)
     y_train = np.array([label for label, _ in train.examples], dtype=np.int64)
     y_test = np.array([label for label, _ in test.examples], dtype=np.int64)
+    grads_fn, probs_fn = _batch_functions(cfg, encoder)
     curve = LearningCurve()
     start = time.perf_counter()
     if cfg.optimizer == "lbfgs":
         x_train = encoder.encode_many(train)
         x_test = encoder.encode_many(test)
-        _train_lbfgs(cfg, params, x_train, y_train, x_test, y_test, curve, start)
+        _train_lbfgs(cfg, params, grads_fn, probs_fn, x_train, y_train, x_test, y_test,
+                     curve, start)
         return params, curve
-    grads_fn, probs_fn = _batch_functions(cfg, encoder)
     tuner = None
     if cfg.fine_tune:
         tuner = _FineTuner(encoder, train, test)
@@ -457,8 +442,6 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     n = len(y_train)
-    dense_grads = {"cnn": cnn_batch_grads, "rnn": rnn_batch_grads,
-                   "lstm": lstm_batch_grads}.get(cfg.arch)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
@@ -466,10 +449,8 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
             sel = order[lo:lo + cfg.batch]
             ys = y_train[sel]
             if tuner is not None:
-                xs = tuner.gather_train(sel)
-                losses, grads, dx = dense_grads(params, xs, ys, train=True,
-                                                rng=dropout_rng, want_dx=True)
-                mean_loss = float(losses.mean())
+                mean_loss, grads, dx = grads_fn(params, tuner.gather_train(sel), ys,
+                                                dropout_rng, want_dx=True)
                 # dx already carries the mean-loss scale, like the param grads
                 grads = dict(grads, embeddings=tuner.scatter_grad(sel, dx))
             else:
@@ -494,7 +475,8 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     return params, curve
 
 
-def _train_lbfgs(cfg, params, x_train, y_train, x_test, y_test, curve, start):
+def _train_lbfgs(cfg, params, grads_fn, probs_fn, x_train, y_train, x_test, y_test,
+                 curve, start):
     tensors = params.tensors()
     names = list(tensors)
     shapes = [tensors[k].shape for k in names]
@@ -511,14 +493,14 @@ def _train_lbfgs(cfg, params, x_train, y_train, x_test, y_test, curve, start):
 
     def objective(vec):
         unpack(vec)
-        loss, grads = fnn_batch_loss_grads(params, x_train, y_train)
+        loss, grads = grads_fn(params, x_train, y_train, None)
         if not np.isfinite(loss):
             raise DivergedError(len(curve.points) + 1)
         return loss, pack(grads)
 
     def record(iteration, vec, loss, _gnorm):
         unpack(vec)
-        accuracy = _accuracy(fnn_batch_probs, params, x_test, y_test)
+        accuracy = _accuracy(probs_fn, params, x_test, y_test)
         curve.points.append(
             CurvePoint(iteration, loss, accuracy, time.perf_counter() - start))
 
@@ -535,21 +517,15 @@ def evaluate(params, test: Dataset, encoder) -> float:
     bad = y_test[(y_test < 0) | (y_test >= len(test.labels))]
     if bad.size:
         raise ValueError(f"label index {int(bad[0])} outside the catalog")
-    x_test = encoder.encode_many(test)
-    cfg_kind = encoder.kind
-    if isinstance(params, models.FnnParams):
-        probs_fn = fnn_batch_probs
-    elif isinstance(params, models.CnnParams):
-        probs_fn = cnn_batch_probs_hashed if cfg_kind == "hashed" else cnn_batch_probs
-    elif isinstance(params, models.RnnParams):
-        probs_fn = (lambda p, xs: rnn_batch_probs(p, encoder.densify(xs))) \
-            if cfg_kind == "hashed" else rnn_batch_probs
-    elif isinstance(params, models.LstmParams):
-        probs_fn = (lambda p, xs: lstm_batch_probs(p, encoder.densify(xs))) \
-            if cfg_kind == "hashed" else lstm_batch_probs
-    else:
-        raise TypeError(f"unknown parameter set {type(params).__name__}")
-    return _accuracy(probs_fn, params, x_test, y_test)
+    _, probs_fn = _batch_functions(params, encoder)
+    return _accuracy(probs_fn, params, encoder.encode_many(test), y_test)
+
+
+def predict(params, xs, encoder) -> np.ndarray:
+    """Class index of each row of an ``encoder.encode_many`` batch: the
+    argmax that ``evaluate`` scores, ties going to the smallest index."""
+    _, probs_fn = _batch_functions(params, encoder)
+    return _classes(probs_fn, params, xs)
 
 
 # ---------------------------------------------------------------------------

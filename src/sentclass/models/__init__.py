@@ -1,32 +1,40 @@
-"""The four classifier families behind one interface.
+"""The four classifier families behind one table.
 
-``init_params`` builds a parameter set from an architecture description and
-a seed; ``forward``/``backward``/``predict`` dispatch on the parameter type.
-All weights draw from a symmetric uniform range of sqrt(6 / (fan_in +
-fan_out)); biases start at zero except the LSTM forget gate, which starts
-at 1 so the memory path is open from the first epoch.
+``FAMILIES`` maps each arch tag to everything the harness needs about that
+family.  Its batched ``probs``/``grads`` functions are the implementation
+that training, evaluation and prediction run; the per-example
+``forward``/``backward`` functions are the reference the tests compare
+them against.  All weights draw from a symmetric uniform range of
+sqrt(6 / (fan_in + fan_out)); biases start at zero except the LSTM forget
+gate, which starts at 1 so the memory path is open from the first epoch.
 """
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .cnn import CnnParams, CnnTrace, cnn_backward, cnn_forward, init_cnn
-from .fnn import FnnParams, FnnTrace, fnn_backward, fnn_forward, init_fnn
-from .lstm import LstmParams, LstmTrace, init_lstm, lstm_backward, lstm_forward
-from .rnn import RnnParams, RnnTrace, init_rnn, rnn_backward, rnn_forward
+from .cnn import (CnnParams, CnnTrace, cnn_backward, cnn_batch_grads, cnn_batch_grads_hashed,
+                  cnn_batch_probs, cnn_batch_probs_hashed, cnn_forward, init_cnn)
+from .fnn import (FnnParams, FnnTrace, fnn_backward, fnn_batch_loss_grads, fnn_batch_probs,
+                  fnn_forward, init_fnn)
+from .lstm import (LstmParams, LstmTrace, init_lstm, lstm_backward, lstm_batch_grads,
+                   lstm_batch_probs, lstm_batch_probs_hashed, lstm_forward)
+from .rnn import (RnnParams, RnnTrace, init_rnn, rnn_backward, rnn_batch_grads, rnn_batch_probs,
+                  rnn_batch_probs_hashed, rnn_forward)
 
 ModelParams = Union[FnnParams, CnnParams, RnnParams, LstmParams]
 
 
 @dataclass(frozen=True)
 class FnnSpec:
+    arch: ClassVar[str] = "fnn"
     layer_sizes: tuple[int, ...]  # input width, hidden widths..., classes
 
 
 @dataclass(frozen=True)
 class CnnSpec:
+    arch: ClassVar[str] = "cnn"
     embed_dim: int
     classes: int
     n_filters: int = 256
@@ -37,6 +45,7 @@ class CnnSpec:
 
 @dataclass(frozen=True)
 class RnnSpec:
+    arch: ClassVar[str] = "rnn"
     embed_dim: int
     classes: int
     hidden: int = 256
@@ -45,86 +54,87 @@ class RnnSpec:
 
 @dataclass(frozen=True)
 class LstmSpec:
+    arch: ClassVar[str] = "lstm"
     embed_dim: int
     classes: int
     hidden: int = 256
     dropout: float = 0.1
 
 
-ARCH_TAGS = {
-    FnnParams: "fnn",
-    CnnParams: "cnn",
-    RnnParams: "rnn",
-    LstmParams: "lstm",
+@dataclass(frozen=True)
+class Family:
+    """One architecture's classes and functions.
+
+    ``init(**spec fields, seed=...)`` builds a parameter set.  The batched
+    functions share one calling convention: ``probs(params, xs)`` gives
+    eval-mode class distributions, one row per example, and
+    ``grads(params, xs, labels, train, rng, want_dx)`` gives per-example
+    losses, batch-mean gradients keyed like ``params.tensors()`` and, when
+    ``want_dx`` is set, the input gradient.  ``hashed_probs``/``hashed_grads``
+    take hashed one-hot inputs as index sequences (pad = -1); where a family
+    has none, those inputs reach ``probs``/``grads`` as explicit one-hot rows.
+    """
+
+    params: type
+    spec: type
+    trace: type
+    init: Callable
+    probs: Callable
+    grads: Callable
+    forward: Callable
+    backward: Callable
+    hashed_probs: Callable | None = None
+    hashed_grads: Callable | None = None
+
+
+FAMILIES = {
+    "fnn": Family(FnnParams, FnnSpec, FnnTrace, init_fnn, fnn_batch_probs,
+                  fnn_batch_loss_grads, fnn_forward, fnn_backward),
+    "cnn": Family(CnnParams, CnnSpec, CnnTrace, init_cnn, cnn_batch_probs,
+                  cnn_batch_grads, cnn_forward, cnn_backward,
+                  cnn_batch_probs_hashed, cnn_batch_grads_hashed),
+    "rnn": Family(RnnParams, RnnSpec, RnnTrace, init_rnn, rnn_batch_probs,
+                  rnn_batch_grads, rnn_forward, rnn_backward, rnn_batch_probs_hashed),
+    "lstm": Family(LstmParams, LstmSpec, LstmTrace, init_lstm, lstm_batch_probs,
+                   lstm_batch_grads, lstm_forward, lstm_backward, lstm_batch_probs_hashed),
 }
-PARAMS_BY_TAG = {tag: cls for cls, tag in ARCH_TAGS.items()}
 
 
-def arch_tag(params: ModelParams) -> str:
-    return ARCH_TAGS[type(params)]
+def _family(obj) -> Family:
+    family = FAMILIES.get(getattr(obj, "arch", None))
+    if family is None or not isinstance(obj, (family.params, family.spec)):
+        raise TypeError(f"unknown architecture object {type(obj).__name__}")
+    return family
 
 
 def init_params(spec, seed) -> ModelParams:
     """Deterministic parameter initialization for any architecture spec."""
-    if isinstance(spec, FnnSpec):
-        return init_fnn(list(spec.layer_sizes), seed)
-    if isinstance(spec, CnnSpec):
-        return init_cnn(spec.embed_dim, spec.classes, spec.n_filters, spec.window,
-                        spec.hidden, spec.dropout, seed)
-    if isinstance(spec, RnnSpec):
-        return init_rnn(spec.embed_dim, spec.classes, spec.hidden, spec.dropout, seed)
-    if isinstance(spec, LstmSpec):
-        return init_lstm(spec.embed_dim, spec.classes, spec.hidden, spec.dropout, seed)
-    raise TypeError(f"unknown architecture spec {type(spec).__name__}")
+    return _family(spec).init(**asdict(spec), seed=seed)
 
 
 def forward(params: ModelParams, x, train: bool = False,
             rng: np.random.Generator | None = None):
-    """Class distribution plus the trace needed by ``backward``."""
-    if isinstance(params, FnnParams):
-        return fnn_forward(params, x)
-    if isinstance(params, CnnParams):
-        return cnn_forward(params, x, train, rng)
-    if isinstance(params, RnnParams):
-        return rnn_forward(params, x, train, rng)
-    if isinstance(params, LstmParams):
-        return lstm_forward(params, x, train, rng)
-    raise TypeError(f"unknown parameter set {type(params).__name__}")
+    """Per-example reference: class distribution plus the trace ``backward`` needs."""
+    return _family(params).forward(params, x, train, rng)
 
 
 def backward(params: ModelParams, trace, label: int) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients with the same keys and shapes as ``tensors()``."""
-    pairs = {
-        FnnParams: (FnnTrace, fnn_backward),
-        CnnParams: (CnnTrace, cnn_backward),
-        RnnParams: (RnnTrace, rnn_backward),
-        LstmParams: (LstmTrace, lstm_backward),
-    }
-    entry = pairs.get(type(params))
-    if entry is None:
-        raise TypeError(f"unknown parameter set {type(params).__name__}")
-    trace_cls, backward_fn = entry
-    if not isinstance(trace, trace_cls):
+    """Per-example reference: cross-entropy gradients keyed like ``tensors()``."""
+    family = _family(params)
+    if not isinstance(trace, family.trace):
         raise TypeError(
             f"trace {type(trace).__name__} does not match {type(params).__name__}"
         )
-    return backward_fn(params, trace, label)
-
-
-def predict(params: ModelParams, x) -> int:
-    """Most probable class in eval mode; ties go to the smallest index."""
-    probs, _ = forward(params, x, train=False)
-    return int(np.argmax(probs))
+    return family.backward(params, trace, label)
 
 
 __all__ = [
-    "ModelParams",
+    "ModelParams", "Family", "FAMILIES",
     "FnnParams", "CnnParams", "RnnParams", "LstmParams",
     "FnnSpec", "CnnSpec", "RnnSpec", "LstmSpec",
     "FnnTrace", "CnnTrace", "RnnTrace", "LstmTrace",
-    "init_params", "forward", "backward", "predict", "arch_tag",
+    "init_params", "forward", "backward",
     "init_fnn", "init_cnn", "init_rnn", "init_lstm",
     "fnn_forward", "cnn_forward", "rnn_forward", "lstm_forward",
     "fnn_backward", "cnn_backward", "rnn_backward", "lstm_backward",
-    "ARCH_TAGS", "PARAMS_BY_TAG",
 ]

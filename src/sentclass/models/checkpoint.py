@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from . import PARAMS_BY_TAG, ModelParams, arch_tag
+from . import FAMILIES, ModelParams
 
 MAGIC = b"#sentclass-checkpoint-v1\n"
 
@@ -28,7 +28,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
     """Write params (and optional JSON-serializable metadata) to ``path``."""
     tensors = params.tensors()
     header = {
-        "arch": arch_tag(params),
+        "arch": params.arch,
         "fields": [[name, list(t.shape)] for name, t in tensors.items()],
         "hyper": _hyper(params),
         "meta": meta or {},
@@ -52,11 +52,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable header: {exc}") from None
-        params_cls = PARAMS_BY_TAG.get(header.get("arch"))
-        if params_cls is None:
-            raise CheckpointError(f"{path}: unknown architecture {header.get('arch')!r}")
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        arch = header.get("arch")
+        family = FAMILIES.get(arch)
+        if family is None:
+            raise CheckpointError(f"{path}: unknown architecture {arch!r}")
+        fields = header.get("fields")
+        if not (isinstance(fields, list) and all(_is_field(f) for f in fields)):
+            raise CheckpointError(f"{path}: header fields are not a list of [name, shape] pairs")
+        hyper, meta = header.get("hyper", {}), header.get("meta", {})
+        if not (isinstance(hyper, dict) and isinstance(meta, dict)):
+            raise CheckpointError(f"{path}: header hyper and meta must be JSON objects")
         tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["fields"]:
+        for name, shape in fields:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
@@ -65,5 +74,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
-    params = params_cls.from_tensors(tensors, **header.get("hyper", {}))
-    return params, header.get("meta", {})
+    try:
+        params = family.params.from_tensors(tensors, **hyper)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: tensors do not make {arch} parameters: {exc!r}") from None
+    names = sorted(name for name, _ in fields)
+    if sorted(params.tensors()) != names:
+        raise CheckpointError(f"{path}: tensors {names} do not make {arch} parameters")
+    return params, meta
+
+
+def _is_field(field) -> bool:
+    """One header field: a [name, shape] pair with a non-negative integer shape."""
+    return (isinstance(field, list) and len(field) == 2 and isinstance(field[0], str)
+            and isinstance(field[1], list)
+            and all(isinstance(n, int) and n >= 0 for n in field[1]))

@@ -6,15 +6,17 @@ max-over-time pooling, a ReLU fully connected layer with inverted dropout
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..optim import PROB_CLAMP
-from ..tensor import conv1d_wgram, dropout_mask, max_pool_time, relu, softmax
+from ..tensor import conv1d_wgram, dropout_mask, max_pool_time, relu, softmax, softmax_rows
+from .head import head_grads
 
 
 @dataclass
 class CnnParams:
+    arch: ClassVar[str] = "cnn"
     filters: np.ndarray  # (n_filters, embed_dim, window)
     conv_bias: np.ndarray  # (n_filters,)
     w_fc: np.ndarray  # (n_filters, hidden)
@@ -156,46 +158,10 @@ def cnn_backward(params: CnnParams, trace: CnnTrace, label: int) -> dict[str, np
 
 
 # ---------------------------------------------------------------------------
-# Batched fast paths.  Semantics are pinned to the per-example functions
-# above (see the batch-equivalence tests); these exist so training touches
-# BLAS-sized arrays instead of per-example loops.
+# Batched implementation: what training, evaluation and prediction run.  The
+# per-example functions above are its reference; the batch-equivalence tests
+# pin one to the other.
 # ---------------------------------------------------------------------------
-
-
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _batch_head(params, pooled_batch, train, rng):
-    b = pooled_batch.shape[0]
-    fc_pre = pooled_batch @ params.w_fc + params.b_fc
-    fc_act = np.maximum(fc_pre, 0.0)
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = (rng.random((b, fc_act.shape[1])) >= params.dropout) / (1.0 - params.dropout)
-    head_in = fc_act * mask if mask is not None else fc_act
-    probs = _softmax_rows(head_in @ params.w_out + params.b_out)
-    return fc_pre, fc_act, mask, head_in, probs
-
-
-def _batch_head_backward(params, cache, labels):
-    fc_pre, fc_act, mask, head_in, probs, pooled_batch = cache
-    b = probs.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b  # mean gradient over the batch
-    g_w_out = head_in.T @ dlogits
-    g_b_out = dlogits.sum(axis=0)
-    d_head_in = dlogits @ params.w_out.T
-    d_fc_act = d_head_in * mask if mask is not None else d_head_in
-    d_fc_pre = d_fc_act * (fc_pre > 0.0)
-    g_w_fc = pooled_batch.T @ d_fc_pre
-    g_b_fc = d_fc_pre.sum(axis=0)
-    d_pooled = d_fc_pre @ params.w_fc.T
-    return dict(w_fc=g_w_fc, b_fc=g_b_fc, w_out=g_w_out, b_out=g_b_out), d_pooled
 
 
 def _pool_batch(relu_out):
@@ -211,15 +177,43 @@ def _unpool_batch(shape, argmax, d_pooled):
     return d_relu
 
 
-def cnn_batch_probs(params: CnnParams, xs: np.ndarray) -> np.ndarray:
-    """Eval-mode class distributions for a (B, n, d) batch."""
-    window = params.window
-    windows = np.lib.stride_tricks.sliding_window_view(xs, window, axis=1)
+def _probs_from_conv(params, conv_pre):
+    pooled, _ = _pool_batch(np.maximum(conv_pre, 0.0))
+    fc_act = np.maximum(pooled @ params.w_fc + params.b_fc, 0.0)
+    return softmax_rows(fc_act @ params.w_out + params.b_out)
+
+
+def _grads_from_conv(params, conv_pre, labels, train, rng):
+    """Losses, the gradients of every tensor but the filters, and the mean-loss
+    gradient at the pre-ReLU convolution output of a batch."""
+    # a named local on purpose: freed before the backward pass, this array
+    # left a heap hole that raised cnn-onehot's peak RSS by about 10 MB
+    relu_out = np.maximum(conv_pre, 0.0)
+    pooled, argmax = _pool_batch(relu_out)
+    fc_pre = pooled @ params.w_fc + params.b_fc
+    losses, g_w_out, g_b_out, d_fc_act = head_grads(
+        np.maximum(fc_pre, 0.0), params.w_out, params.b_out, labels,
+        params.dropout, train, rng)
+    d_fc_pre = d_fc_act * (fc_pre > 0.0)
+    d_conv = _unpool_batch(conv_pre.shape, argmax, d_fc_pre @ params.w_fc.T)
+    d_conv *= conv_pre > 0.0
+    grads = dict(conv_bias=d_conv.sum(axis=(0, 1)), w_fc=pooled.T @ d_fc_pre,
+                 b_fc=d_fc_pre.sum(axis=0), w_out=g_w_out, b_out=g_b_out)
+    return losses, grads, d_conv
+
+
+def _dense_conv(params, xs):
+    # windows[b, t, j, k] = xs[b, t + k, j]
+    windows = np.lib.stride_tricks.sliding_window_view(xs, params.window, axis=1)
     conv_pre = np.einsum("btjk,ijk->bti", windows, params.filters, optimize=True)
     conv_pre += params.conv_bias
-    pooled, _ = _pool_batch(np.maximum(conv_pre, 0.0))
-    *_, probs = _batch_head(params, pooled, train=False, rng=None)
-    return probs
+    return conv_pre, windows
+
+
+def cnn_batch_probs(params: CnnParams, xs: np.ndarray) -> np.ndarray:
+    """Eval-mode class distributions for a (B, n, d) batch."""
+    conv_pre, _ = _dense_conv(params, xs)
+    return _probs_from_conv(params, conv_pre)
 
 
 def cnn_batch_grads(params: CnnParams, xs: np.ndarray, labels: np.ndarray,
@@ -230,27 +224,14 @@ def cnn_batch_grads(params: CnnParams, xs: np.ndarray, labels: np.ndarray,
     With ``want_dx`` also returns the gradient with respect to the input
     rows (used when embeddings are fine-tuned).
     """
-    b = xs.shape[0]
-    window = params.window
-    windows = np.lib.stride_tricks.sliding_window_view(xs, window, axis=1)
-    conv_pre = np.einsum("btjk,ijk->bti", windows, params.filters, optimize=True)
-    conv_pre += params.conv_bias
-    relu_out = np.maximum(conv_pre, 0.0)
-    pooled, argmax = _pool_batch(relu_out)
-    fc_pre, fc_act, mask, head_in, probs = _batch_head(params, pooled, train, rng)
-    picked = np.maximum(probs[np.arange(b), labels], PROB_CLAMP)
-    losses = -np.log(picked)
-    head_grads, d_pooled = _batch_head_backward(
-        params, (fc_pre, fc_act, mask, head_in, probs, pooled), labels)
-    d_conv = _unpool_batch(conv_pre.shape, argmax, d_pooled)
-    d_conv *= conv_pre > 0.0
-    g_filters = np.einsum("bti,btjk->ijk", d_conv, windows, optimize=True)
-    grads = dict(filters=g_filters, conv_bias=d_conv.sum(axis=(0, 1)), **head_grads)
+    conv_pre, windows = _dense_conv(params, xs)
+    losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
+    grads["filters"] = np.einsum("bti,btjk->ijk", d_conv, windows, optimize=True)
     if not want_dx:
         return losses, grads
     t_steps = conv_pre.shape[1]
     dx = np.zeros_like(xs)
-    for k in range(window):
+    for k in range(params.window):
         dx[:, k:k + t_steps, :] += d_conv @ params.filters[:, :, k]
     return losses, grads, dx
 
@@ -289,32 +270,23 @@ def _hashed_conv(params, idx):
 def cnn_batch_probs_hashed(params: CnnParams, idx: np.ndarray) -> np.ndarray:
     """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
     conv_pre, _ = _hashed_conv(params, idx)
-    pooled, _ = _pool_batch(np.maximum(conv_pre, 0.0))
-    *_, probs = _batch_head(params, pooled, train=False, rng=None)
-    return probs
+    return _probs_from_conv(params, conv_pre)
 
 
 def cnn_batch_grads_hashed(params: CnnParams, idx: np.ndarray, labels: np.ndarray,
-                           train: bool = True, rng: np.random.Generator | None = None):
+                           train: bool = True, rng: np.random.Generator | None = None,
+                           want_dx: bool = False):
     """Losses and mean gradients for hashed one-hot index sequences."""
-    b = idx.shape[0]
+    if want_dx:
+        raise ValueError("index sequences have no input gradient")
     d = params.embed_dim
     conv_pre, idx_windows = _hashed_conv(params, idx)
-    relu_out = np.maximum(conv_pre, 0.0)
-    pooled, argmax = _pool_batch(relu_out)
-    fc_pre, fc_act, mask, head_in, probs = _batch_head(params, pooled, train, rng)
-    picked = np.maximum(probs[np.arange(b), labels], PROB_CLAMP)
-    losses = -np.log(picked)
-    head_grads, d_pooled = _batch_head_backward(
-        params, (fc_pre, fc_act, mask, head_in, probs, pooled), labels)
-    d_conv = _unpool_batch(conv_pre.shape, argmax, d_pooled)
-    d_conv *= conv_pre > 0.0
-    window = params.window
+    losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
     g_filters = np.zeros_like(params.filters)
     flat_dconv = d_conv.reshape(-1, params.n_filters)
-    for k in range(window):
+    for k in range(params.window):
         g_table = np.zeros((d + 1, params.n_filters))
         np.add.at(g_table, idx_windows[:, :, k].reshape(-1), flat_dconv)
         g_filters[:, :, k] = g_table[:d].T  # padding row dropped
-    grads = dict(filters=g_filters, conv_bias=d_conv.sum(axis=(0, 1)), **head_grads)
+    grads["filters"] = g_filters
     return losses, grads

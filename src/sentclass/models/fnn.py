@@ -1,17 +1,19 @@
 """Feed-forward classifier: logistic hidden layers, softmax output layer."""
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..optim import PROB_CLAMP, cross_entropy
-from ..tensor import ShapeError, sigmoid, softmax
+from ..tensor import ShapeError, sigmoid, softmax, softmax_rows
+from .head import head_grads
 
 
 @dataclass
 class FnnParams:
     """Stacked dense layers; weights[i] has shape (fan_in, fan_out)."""
 
+    arch: ClassVar[str] = "fnn"
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -58,8 +60,13 @@ def init_fnn(layer_sizes, seed) -> FnnParams:
     return FnnParams(weights=weights, biases=biases)
 
 
-def fnn_forward(params: FnnParams, x) -> tuple[np.ndarray, FnnTrace]:
-    """Class distribution for one input vector."""
+def fnn_forward(params: FnnParams, x, train: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, FnnTrace]:
+    """Class distribution for one input vector.
+
+    The FNN has no dropout: ``train`` and ``rng`` change nothing and keep the
+    per-example calling convention of the other families.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != params.weights[0].shape[0]:
         raise ShapeError(
@@ -97,53 +104,41 @@ def fnn_backward(params: FnnParams, trace: FnnTrace, label: int) -> dict[str, np
     return grads
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def fnn_batch_probs(params: FnnParams, xs: np.ndarray) -> np.ndarray:
     """Forward pass over a whole design matrix (rows are examples)."""
     a = xs
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        a = _softmax_rows(z) if i == last else sigmoid(z)
+        a = softmax_rows(z) if i == last else sigmoid(z)
     return a
 
 
-def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradients over a batch.
+def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
+                         train: bool = True, rng: np.random.Generator | None = None,
+                         want_dx: bool = False):
+    """Per-example losses and batch-mean gradients over a design matrix.
 
-    Matches averaging ``fnn_backward`` over the rows; used for full-batch
-    objectives and minibatch steps.
+    Matches averaging ``fnn_backward`` over the rows; serves full-batch
+    objectives and minibatch steps alike.  The FNN has no dropout, so
+    ``train`` and ``rng`` change nothing; they keep the calling convention
+    of the other families.  With ``want_dx`` also returns the gradient with
+    respect to the input rows.
     """
-    n = xs.shape[0]
     activations = [xs]
-    a = xs
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        activations.append(sigmoid(activations[-1] @ w + b))
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = _softmax_rows(z) if i == last else sigmoid(z)
-        activations.append(a)
-    probs = a
-    picked = np.maximum(probs[np.arange(n), labels], PROB_CLAMP)
-    loss = float(-np.log(picked).mean())
-    dz = probs.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz /= n
     grads: dict[str, np.ndarray] = {}
-    for i in reversed(range(len(params.weights))):
-        a_prev = activations[i]
-        grads[f"w{i}"] = a_prev.T @ dz
+    losses, grads[f"w{last}"], grads[f"b{last}"], da = head_grads(
+        activations[-1], params.weights[last], params.biases[last], labels)
+    for i in reversed(range(last)):
+        a = activations[i + 1]
+        dz = da * a * (1.0 - a)  # logistic derivative
+        grads[f"w{i}"] = activations[i].T @ dz
         grads[f"b{i}"] = dz.sum(axis=0)
-        if i > 0:
+        if i > 0 or want_dx:  # the input gradient costs a full-width product
             da = dz @ params.weights[i].T
-            a_mid = activations[i]
-            dz = da * a_mid * (1.0 - a_mid)
-    return loss, grads
-
-
-def fnn_example_loss(params: FnnParams, x, label: int) -> float:
-    probs, _ = fnn_forward(params, x)
-    return cross_entropy(probs, label)
+    if want_dx:
+        return losses, grads, da
+    return losses, grads

@@ -14,17 +14,19 @@ the simple recurrent model.  Backpropagation through time is exact.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..optim import PROB_CLAMP
-from ..tensor import ShapeError, dropout_mask, sigmoid, softmax
+from ..tensor import ShapeError, dropout_mask, gather_rows, sigmoid, softmax, softmax_rows
+from .head import head_grads
 
 _GATES = ("i", "f", "o", "g")
 
 
 @dataclass
 class LstmParams:
+    arch: ClassVar[str] = "lstm"
     wx_i: np.ndarray  # (embed_dim, hidden) per gate
     wh_i: np.ndarray  # (hidden, hidden) per gate
     b_i: np.ndarray
@@ -191,14 +193,16 @@ def lstm_backward(params: LstmParams, trace: LstmTrace, label: int) -> dict[str,
     return g
 
 
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _input_projections(params, xs):
+    # all steps against the input weights up front (one big matmul per gate)
+    return [np.einsum("bnd,dh->nbh", xs, getattr(params, f"wx_{gate}"), optimize=True)
+            for gate in _GATES]
 
 
-def _batch_cell(params, xs):
-    b, n, _ = xs.shape
-    hid = params.hidden
+def _batch_cell(params, projections):
+    # projections[k][t] = x_t Wx for gate _GATES[k], each (n, B, hidden)
+    proj_i, proj_f, proj_o, proj_g = projections
+    n, b, hid = proj_i.shape
     shape = (n, b, hid)
     gate_i = np.zeros(shape)
     gate_f = np.zeros(shape)
@@ -208,11 +212,6 @@ def _batch_cell(params, xs):
     hiddens = np.zeros(shape)
     h = np.zeros((b, hid))
     c = np.zeros((b, hid))
-    # project all steps against the input weights up front (one big matmul each)
-    proj_i = np.einsum("bnd,dh->nbh", xs, params.wx_i, optimize=True)
-    proj_f = np.einsum("bnd,dh->nbh", xs, params.wx_f, optimize=True)
-    proj_o = np.einsum("bnd,dh->nbh", xs, params.wx_o, optimize=True)
-    proj_g = np.einsum("bnd,dh->nbh", xs, params.wx_g, optimize=True)
     for t in range(n):
         gate_i[t] = sigmoid(proj_i[t] + h @ params.wh_i + params.b_i)
         gate_f[t] = sigmoid(proj_f[t] + h @ params.wh_f + params.b_f)
@@ -227,8 +226,15 @@ def _batch_cell(params, xs):
 
 def lstm_batch_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
     """Eval-mode class distributions for a (B, n, d) batch."""
-    *_, hiddens = _batch_cell(params, xs)
-    return _softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
+    *_, hiddens = _batch_cell(params, _input_projections(params, xs))
+    return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
+
+
+def lstm_batch_probs_hashed(params: LstmParams, idx: np.ndarray) -> np.ndarray:
+    """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
+    projections = [gather_rows(getattr(params, f"wx_{gate}"), idx.T) for gate in _GATES]
+    *_, hiddens = _batch_cell(params, projections)
+    return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
 
 
 def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
@@ -236,27 +242,12 @@ def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
                      want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
     b, n, _ = xs.shape
-    gate_i, gate_f, gate_o, cand, cell, hiddens = _batch_cell(params, xs)
+    gate_i, gate_f, gate_o, cand, cell, hiddens = _batch_cell(
+        params, _input_projections(params, xs))
     tanh_cell = np.tanh(cell)
-    h_last = hiddens[-1]
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = (rng.random((b, params.hidden)) >= params.dropout) / (1.0 - params.dropout)
-    head_in = h_last * mask if mask is not None else h_last
-    probs = _softmax_rows(head_in @ params.w_head + params.b_head)
-    picked = np.maximum(probs[np.arange(b), labels], PROB_CLAMP)
-    losses = -np.log(picked)
-    dlogits = probs.copy()
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
     g = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    g["w_head"] = head_in.T @ dlogits
-    g["b_head"] = dlogits.sum(axis=0)
-    dh = dlogits @ params.w_head.T
-    if mask is not None:
-        dh = dh * mask
+    losses, g["w_head"], g["b_head"], dh = head_grads(
+        hiddens[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     dc = np.zeros((b, params.hidden))
     dx = np.zeros_like(xs) if want_dx else None
     for t in reversed(range(n)):

@@ -6,15 +6,17 @@ Backpropagation through time is exact (no truncation).
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..optim import PROB_CLAMP
-from ..tensor import ShapeError, dropout_mask, sigmoid, softmax
+from ..tensor import ShapeError, dropout_mask, gather_rows, sigmoid, softmax, softmax_rows
+from .head import head_grads
 
 
 @dataclass
 class RnnParams:
+    arch: ClassVar[str] = "rnn"
     w_in: np.ndarray  # (embed_dim, hidden)
     w_rec: np.ndarray  # (hidden, hidden)
     b_rec: np.ndarray  # (hidden,)
@@ -143,16 +145,11 @@ def rnn_backward(params: RnnParams, trace: RnnTrace, label: int) -> dict[str, np
     }
 
 
-def _softmax_rows(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _batch_hiddens(params, xs):
-    b, n, _ = xs.shape
+def _batch_hiddens(params, x_proj):
+    # x_proj[t] = x_t W_in for the whole batch, shape (n, B, hidden)
+    n, b, _ = x_proj.shape
     hs = np.zeros((n, b, params.hidden))
     h = np.zeros((b, params.hidden))
-    x_proj = np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True)
     for t in range(n):
         h = sigmoid(x_proj[t] + h @ params.w_rec + params.b_rec)
         hs[t] = h
@@ -161,34 +158,24 @@ def _batch_hiddens(params, xs):
 
 def rnn_batch_probs(params: RnnParams, xs: np.ndarray) -> np.ndarray:
     """Eval-mode class distributions for a (B, n, d) batch."""
-    hs = _batch_hiddens(params, xs)
-    return _softmax_rows(hs[-1] @ params.w_head + params.b_head)
+    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+    return softmax_rows(hs[-1] @ params.w_head + params.b_head)
+
+
+def rnn_batch_probs_hashed(params: RnnParams, idx: np.ndarray) -> np.ndarray:
+    """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
+    hs = _batch_hiddens(params, gather_rows(params.w_in, idx.T))
+    return softmax_rows(hs[-1] @ params.w_head + params.b_head)
 
 
 def rnn_batch_grads(params: RnnParams, xs: np.ndarray, labels: np.ndarray,
                     train: bool = True, rng: np.random.Generator | None = None,
                     want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    b, n, _ = xs.shape
-    hs = _batch_hiddens(params, xs)
-    h_last = hs[-1]
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = (rng.random((b, params.hidden)) >= params.dropout) / (1.0 - params.dropout)
-    head_in = h_last * mask if mask is not None else h_last
-    probs = _softmax_rows(head_in @ params.w_head + params.b_head)
-    picked = np.maximum(probs[np.arange(b), labels], PROB_CLAMP)
-    losses = -np.log(picked)
-    dlogits = probs.copy()
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
-    g_w_head = head_in.T @ dlogits
-    g_b_head = dlogits.sum(axis=0)
-    dh = dlogits @ params.w_head.T
-    if mask is not None:
-        dh = dh * mask
+    n = xs.shape[1]
+    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+    losses, g_w_head, g_b_head, dh = head_grads(
+        hs[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     g_w_in = np.zeros_like(params.w_in)
     g_w_rec = np.zeros_like(params.w_rec)
     g_b_rec = np.zeros_like(params.b_rec)

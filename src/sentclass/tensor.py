@@ -32,16 +32,6 @@ def as_tensor(values) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs two rank-2 tensors, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def conv1d_wgram(x, filters, bias) -> Tensor:
     """Window convolution over time.
 
@@ -95,6 +85,23 @@ def softmax(z) -> Tensor:
     return e / e.sum()
 
 
+def softmax_rows(z) -> Tensor:
+    """Row-wise softmax of a batch of logit rows, each row stabilised by its maximum."""
+    z = as_tensor(z)
+    if z.ndim != 2:
+        raise ShapeError(f"softmax_rows expects a rank-2 tensor, got shape {z.shape}")
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def gather_rows(w, idx) -> Tensor:
+    """Rows of ``w`` picked by an integer index array, zero rows where the
+    index is -1: the product of hashed one-hot rows, carried as indices, with
+    ``w``.  The result has shape ``idx.shape + (w.shape[1],)``."""
+    table = np.vstack([w, np.zeros(w.shape[1])])
+    return table[np.where(idx >= 0, idx, w.shape[0])]
+
+
 def max_pool_time(y):
     """Column-wise maximum over time rows.
 
@@ -110,14 +117,16 @@ def max_pool_time(y):
     return pooled, argmax
 
 
-def dropout_mask(length: int, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout mask: entries are 0 with probability p, else 1/(1-p).
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout mask of ``shape`` (a length or a tuple): entries are 0
+    with probability p, else 1/(1-p).
 
-    Each entry has expectation 1, so evaluation needs no rescaling.
+    Each entry has expectation 1, so evaluation needs no rescaling.  A
+    (B, h) mask draws the same stream as B masks of length h in turn.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if length < 0:
-        raise ValueError(f"mask length must be non-negative, got {length}")
-    keep = rng.random(length) >= p
+    if np.any(np.asarray(shape) < 0):
+        raise ValueError(f"mask shape must be non-negative, got {shape}")
+    keep = rng.random(shape) >= p
     return keep.astype(np.float64) / (1.0 - p)

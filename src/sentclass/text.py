@@ -14,7 +14,6 @@ import numpy as np
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
-PAD_INDEX = 0
 UNK_INDEX = 1
 
 # Lowercase ASCII only; non-ASCII text passes through verbatim so the byte

@@ -17,8 +17,8 @@ from sentclass.models.cnn import (
     cnn_batch_probs_hashed,
 )
 from sentclass.models.fnn import fnn_batch_loss_grads, fnn_batch_probs
-from sentclass.models.lstm import lstm_batch_grads, lstm_batch_probs
-from sentclass.models.rnn import rnn_batch_grads, rnn_batch_probs
+from sentclass.models.lstm import lstm_batch_grads, lstm_batch_probs, lstm_batch_probs_hashed
+from sentclass.models.rnn import rnn_batch_grads, rnn_batch_probs, rnn_batch_probs_hashed
 from sentclass.optim import cross_entropy
 from sentclass.tensor import make_rng
 
@@ -37,6 +37,14 @@ def mean_reference_grads(params, xs, labels, train=False, rng=None):
             for k, v in grads.items():
                 total[k] += v
     return np.array(losses), {k: v / len(labels) for k, v in total.items()}
+
+
+def densify(idx, dim):
+    """Explicit one-hot rows for index sequences (pad = -1)."""
+    dense = np.zeros((*idx.shape, dim))
+    rows, cols = np.nonzero(idx >= 0)
+    dense[rows, cols, idx[rows, cols]] = 1.0
+    return dense
 
 
 def assert_grads_close(got, want, atol=1e-12):
@@ -60,9 +68,22 @@ class TestFnnBatch:
 
     def test_loss_and_grads_match_mean(self):
         losses, want = mean_reference_grads(self.params, self.xs, self.labels)
-        loss, got = fnn_batch_loss_grads(self.params, self.xs, self.labels)
-        assert loss == pytest.approx(float(losses.mean()), abs=1e-12)
+        got_losses, got = fnn_batch_loss_grads(self.params, self.xs, self.labels)
+        np.testing.assert_allclose(got_losses, losses, atol=1e-12)
         assert_grads_close(got, want)
+
+    def test_input_gradient_by_finite_differences(self):
+        _, _, dx = fnn_batch_loss_grads(self.params, self.xs, self.labels, want_dx=True)
+        eps = 1e-6
+        xs = self.xs.copy()
+        for b, j in ((0, 1), (3, 5), (6, 0)):
+            xs[b, j] += eps
+            up, _ = fnn_batch_loss_grads(self.params, xs, self.labels)
+            xs[b, j] -= 2 * eps
+            down, _ = fnn_batch_loss_grads(self.params, xs, self.labels)
+            xs[b, j] += eps
+            numeric = (up.sum() - down.sum()) / (2 * eps) / len(self.labels)
+            assert dx[b, j] == pytest.approx(numeric, abs=1e-6)
 
 
 class TestCnnBatch:
@@ -130,10 +151,7 @@ class TestCnnHashedPath:
             self.idx[i, :length] = rng.integers(0, self.dim, size=length)
 
     def densify(self, idx):
-        dense = np.zeros((*idx.shape, self.dim))
-        rows, cols = np.nonzero(idx >= 0)
-        dense[rows, cols, idx[rows, cols]] = 1.0
-        return dense
+        return densify(idx, self.dim)
 
     def test_probs_match_dense_path(self):
         hashed = cnn_batch_probs_hashed(self.params, self.idx)
@@ -216,3 +234,18 @@ class TestRecurrentBatch:
             xs[b, t, j] += eps
             numeric = (up.sum() - down.sum()) / (2 * eps) / len(labels)
             assert dx[b, t, j] == pytest.approx(numeric, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec,dense_probs,hashed_probs", [
+    (M.RnnSpec(embed_dim=16, classes=3, hidden=5), rnn_batch_probs, rnn_batch_probs_hashed),
+    (M.LstmSpec(embed_dim=16, classes=3, hidden=5), lstm_batch_probs, lstm_batch_probs_hashed),
+], ids=["rnn", "lstm"])
+def test_recurrent_hashed_probs_match_dense_path(spec, dense_probs, hashed_probs):
+    params = M.init_params(spec, 16)
+    rng = np.random.default_rng(17)
+    idx = np.full((6, 8), -1, dtype=np.int64)
+    for i in range(6):
+        length = int(rng.integers(1, 9))
+        idx[i, :length] = rng.integers(0, 16, size=length)
+    np.testing.assert_allclose(hashed_probs(params, idx),
+                               dense_probs(params, densify(idx, 16)), atol=1e-12)

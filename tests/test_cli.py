@@ -5,9 +5,11 @@ import io
 import numpy as np
 import pytest
 
+import sentclass.models as M
 from sentclass.harness.cli import main
 from sentclass.harness.data import Dataset, write_tsv
-from sentclass.harness.run import load_curve
+from sentclass.harness.run import _EVAL_CHUNK, load_curve
+from sentclass.models.checkpoint import save_checkpoint
 
 
 @pytest.fixture()
@@ -133,6 +135,36 @@ class TestEvalAndPredict:
         assert main(train_args(corpus_file, out_dir)) == 0
         monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
         assert main(["predict", "--checkpoint", str(out_dir / "checkpoint.bin")]) == 2
+
+    def test_lines_before_a_blank_line_are_labelled(self, corpus_file, tmp_path,
+                                                    capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        assert main(train_args(corpus_file, out_dir, "--epochs", "6")) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 cue0 pad1\n\ncue1 cue1 pad2\n"))
+        assert main(["predict", "--checkpoint", str(out_dir / "checkpoint.bin")]) == 2
+        assert capsys.readouterr().out.splitlines() == ["alpha"]
+
+    def test_input_longer_than_one_chunk_keeps_order(self, corpus_file, tmp_path,
+                                                     capsys, monkeypatch):
+        out_dir = tmp_path / "run"
+        assert main(train_args(corpus_file, out_dir, "--epochs", "6")) == 0
+        capsys.readouterr()
+        classes = [int(i % 3 == 0 or i % 7 == 0) for i in range(_EVAL_CHUNK + 5)]
+        text = "".join(f"cue{c} cue{c} pad{1 + c}\n" for c in classes)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["predict", "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
+        assert capsys.readouterr().out.splitlines() == [["alpha", "beta"][c] for c in classes]
+
+    @pytest.mark.parametrize("key", ["encoding", "labels", "dim", "max_len"])
+    def test_metadata_without_key_is_data_error(self, tmp_path, monkeypatch, key):
+        path = tmp_path / "checkpoint.bin"
+        meta = {"labels": ["alpha", "beta"], "encoding": "onehot", "dim": 32, "max_len": 6}
+        del meta[key]
+        save_checkpoint(path, M.init_params(M.RnnSpec(embed_dim=32, classes=2, hidden=4), 0),
+                        meta)
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
+        assert main(["predict", "--checkpoint", str(path)]) == 2
 
 
 class TestBench:

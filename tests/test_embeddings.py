@@ -1,4 +1,4 @@
-"""Vector file loaders, OOV policies, lookup and one-hot matrices."""
+"""Vector file loaders, OOV policies and lookup matrices."""
 
 import struct
 
@@ -12,9 +12,8 @@ from sentclass.embeddings import (
     load_binary_vectors,
     load_text_vectors,
     lookup_matrix,
-    onehot_matrix,
 )
-from sentclass.text import PAD_TOKEN, hash_index
+from sentclass.text import PAD_TOKEN
 
 
 def binary_bytes(entries, dim, header_count=None, record_newline=False):
@@ -165,23 +164,3 @@ class TestLookupMatrix:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             lookup_matrix(self.table(), [])
-
-
-class TestOnehotMatrix:
-    def test_single_token_single_one(self):
-        out = onehot_matrix(["tok"], 16)
-        assert out.shape == (1, 16)
-        assert out.sum() == 1.0
-        assert out[0, hash_index("tok", 16)] == 1.0
-
-    def test_row_sums(self):
-        out = onehot_matrix(["a", PAD_TOKEN, "b"], 8)
-        np.testing.assert_array_equal(out.sum(axis=1), [1.0, 0.0, 1.0])
-
-    def test_collision_rows_identical(self):
-        # find two distinct tokens colliding at dim 2 via the hash oracle
-        base = "tok0"
-        partner = next(f"tok{i}" for i in range(1, 100)
-                       if hash_index(f"tok{i}", 2) == hash_index(base, 2))
-        out = onehot_matrix([base, partner], 2)
-        np.testing.assert_array_equal(out[0], out[1])

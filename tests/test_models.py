@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import sentclass.models as M
+from sentclass.embeddings import EmbeddingTable
+from sentclass.harness.run import CountEncoder, DenseSequenceEncoder, predict
 from sentclass.tensor import SequenceTooShortError, make_rng
 
 
@@ -313,28 +315,30 @@ class TestInitParams:
 
 
 class TestPredict:
+    """The prediction rule of ``run.predict``, the route ``sentclass predict``
+    and ``evaluate`` share."""
+
     def test_uniform_output_ties_to_class_zero(self):
         params = M.FnnParams(weights=[np.zeros((3, 4))], biases=[np.zeros(4)])
-        assert M.predict(params, np.ones(3)) == 0
+        # rows arrive encoded; the encoder only names their carrier
+        assert list(predict(params, np.ones((2, 3)), CountEncoder(None, 3))) == [0, 0]
 
     def test_argmax_of_probs(self):
         rng = np.random.default_rng(8)
         params = M.init_params(M.CnnSpec(embed_dim=3, classes=4, n_filters=5,
                                          window=2, hidden=4, dropout=0.0), 11)
-        for _ in range(10):
-            x = rng.normal(size=(6, 3))
-            probs, _ = M.cnn_forward(params, x)
-            assert M.predict(params, x) == int(np.argmax(probs))
+        xs = rng.normal(size=(10, 6, 3))
+        encoder = DenseSequenceEncoder(EmbeddingTable(dim=3, entries={}), 6)
+        want = [int(np.argmax(M.cnn_forward(params, x)[0])) for x in xs]
+        assert list(predict(params, xs, encoder)) == want
 
     def test_invariant_under_monotone_logit_transform(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=4)
         logits = x @ w
-        base = M.predict(M.FnnParams([w], [np.zeros(3)]), x)
+        base = predict(M.FnnParams([w], [np.zeros(3)]), x[None, :], CountEncoder(None, 4))[0]
         for transform in (lambda z: 2.0 * z + 1.0, np.exp, lambda z: z ** 3):
-            squashed = M.FnnParams([w], [np.zeros(3)])
-            probs_ref, _ = M.fnn_forward(squashed, x)
             shifted = transform(logits)
             e = np.exp(shifted - shifted.max())
             assert int(np.argmax(e / e.sum())) == base

@@ -8,27 +8,17 @@ from sentclass.tensor import (
     ShapeError,
     conv1d_wgram,
     dropout_mask,
+    gather_rows,
     make_rng,
-    matmul,
     max_pool_time,
     relu,
     sigmoid,
     softmax,
+    softmax_rows,
 )
 
 
 # --- oracles -----------------------------------------------------------------
-
-
-def matmul_oracle(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
 
 
 def conv_oracle(x, f, bias):
@@ -56,34 +46,6 @@ def pool_oracle(y):
                 best, best_t = y[t, i], t
         pooled[i], argmax[i] = best, best_t
     return pooled, argmax
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_case(self):
-        # triple-loop oracle on [[1,2],[3,4]] x [[5],[6]] gives [[17],[39]]
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[17.0], [39.0]])
-        np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
-
-    def test_zero_annihilator(self):
-        out = matmul(np.zeros((2, 3)), np.ones((3, 2)))
-        np.testing.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_random_against_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 6, size=3)
-            a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-            np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
 
 
 class TestConv1dWgram:
@@ -211,6 +173,18 @@ class TestSoftmax:
             assert abs(out.sum() - 1.0) <= 1e-12
             np.testing.assert_allclose(softmax(z + 123.456), out, atol=1e-12)
 
+    def test_rows_match_single_softmax(self):
+        rng = np.random.default_rng(16)
+        z = rng.normal(scale=5.0, size=(7, 4))
+        z[2] += 900.0  # one row that would overflow without its own max
+        out = softmax_rows(z)
+        for row, logits in zip(out, z):
+            np.testing.assert_allclose(row, softmax(logits), atol=1e-15)
+
+    def test_rows_need_rank_two(self):
+        with pytest.raises(ShapeError):
+            softmax_rows(np.zeros(3))
+
 
 class TestSigmoid:
     def test_symmetry_point(self):
@@ -253,10 +227,28 @@ class TestDropoutMask:
         kept = mask[mask != 0.0]
         np.testing.assert_allclose(kept, 1.0 / (1.0 - p))
 
+    def test_block_mask_draws_the_row_masks_in_turn(self):
+        rng = make_rng(31)
+        rows = [dropout_mask(5, 0.3, rng) for _ in range(4)]
+        np.testing.assert_array_equal(dropout_mask((4, 5), 0.3, make_rng(31)),
+                                      np.stack(rows))
+
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_invalid_probability(self, p):
         with pytest.raises(ValueError):
             dropout_mask(4, p, make_rng(0))
+
+
+class TestGatherRows:
+    def test_matches_one_hot_product(self):
+        rng = np.random.default_rng(41)
+        w = rng.normal(size=(6, 3))
+        idx = np.array([[2, 0, -1], [5, 5, -1]])
+        onehot = np.zeros((2, 3, 6))
+        for (b, t), k in np.ndenumerate(idx):
+            if k >= 0:
+                onehot[b, t, k] = 1.0
+        np.testing.assert_array_equal(gather_rows(w, idx), onehot @ w)
 
 
 class TestRng:

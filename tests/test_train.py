@@ -1,4 +1,7 @@
-"""Training-loop contracts, curve files, tables, checkpoints, evaluation."""
+"""Training-loop contracts, encoders, curve files, tables, checkpoints, evaluation."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +9,11 @@ import pytest
 import sentclass.models as M
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import (
+    ARCHS,
+    ENCODINGS,
     ConfigError,
     CurvePoint,
+    HashedSequenceEncoder,
     LearningCurve,
     RunConfig,
     build_encoder,
@@ -17,14 +23,20 @@ from sentclass.harness.run import (
     evaluate,
     load_curve,
     parse_config_text,
+    predict,
     train_run,
 )
 from sentclass.harness.synth import corpus_tokens, write_embeddings_file
 from sentclass.models.checkpoint import (
+    MAGIC,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
+from sentclass.text import PAD_TOKEN, hash_index, pad_or_truncate
+
+VALID_PAIRS = [(arch, encoding) for arch in ARCHS for encoding in ENCODINGS
+               if (arch == "fnn") == (encoding == "counts")]
 
 
 def tiny_dataset(n=24, classes=2, seed=0):
@@ -39,6 +51,30 @@ def tiny_dataset(n=24, classes=2, seed=0):
         rng.shuffle(tokens)
         examples.append((cls, list(tokens)))
     return Dataset(examples, [f"c{i}" for i in range(classes)])
+
+
+def onehot_rows(tokens, dim):
+    """Hashed one-hot rows built token by token, apart from the encoder."""
+    out = np.zeros((len(tokens), dim))
+    for i, token in enumerate(tokens):
+        if token != PAD_TOKEN:
+            out[i, hash_index(token, dim)] = 1.0
+    return out
+
+
+def vectors_file(tmp_path, encoding, data, dim=8):
+    """A text (glove) or binary (word2vec) vector file for the data's tokens."""
+    text = tmp_path / "vectors.txt"
+    write_embeddings_file(text, corpus_tokens(data), dim=dim, seed=0)
+    if encoding == "glove":
+        return str(text)
+    rows = [line.split() for line in text.read_text().splitlines()]
+    blob = f"{len(rows)} {dim}\n".encode()
+    for token, *values in rows:
+        blob += token.encode() + b" " + struct.pack(f"<{dim}f", *map(float, values))
+    binary = tmp_path / "vectors.bin"
+    binary.write_bytes(blob)
+    return str(binary)
 
 
 class TestTrainRunContracts:
@@ -186,16 +222,56 @@ class TestEvaluate:
                                 data)
         assert evaluate(params, data, encoder) == pytest.approx(0.2)
 
-    def test_matches_manual_scoring(self):
+    @pytest.mark.parametrize("arch,encoding", VALID_PAIRS,
+                             ids=[f"{arch}-{encoding}" for arch, encoding in VALID_PAIRS])
+    def test_matches_manual_scoring(self, tmp_path, arch, encoding):
         data = tiny_dataset(10)
-        cfg = RunConfig(arch="cnn", encoding="onehot", dim=32, filters=6,
-                        hidden=5, window=2, epochs=2, max_len=6, batch=4, seed=11)
+        embeddings = None
+        if encoding in ("glove", "word2vec"):
+            embeddings = vectors_file(tmp_path, encoding, data)
+        cfg = RunConfig(arch=arch, encoding=encoding, embeddings=embeddings, dim=32,
+                        filters=6, hidden=5, window=2, epochs=2, max_len=6, batch=4,
+                        seed=11, optimizer="lbfgs" if arch == "fnn" else "adagrad")
         encoder = build_encoder(cfg, data)
         params, _ = train_run(cfg, data, data, encoder=encoder)
-        hits = 0
-        for label, tokens in data.examples:
-            hits += int(M.predict(params, encoder.encode(tokens)) == label)
+        # the per-example reference forward pass on independently built inputs
+        oracle = []
+        for _, tokens in data.examples:
+            if encoding == "onehot":
+                x = onehot_rows(pad_or_truncate(tokens, cfg.max_len), cfg.dim)
+            else:
+                x = encoder.encode(tokens)
+            probs, _ = M.forward(params, x)
+            oracle.append(int(np.argmax(probs)))
+        assert list(predict(params, encoder.encode_many(data), encoder)) == oracle
+        hits = sum(label == want for (label, _), want in zip(data.examples, oracle))
         assert evaluate(params, data, encoder) == pytest.approx(hits / len(data))
+
+
+class TestHashedEncoder:
+    """Hashed one-hot rows, carried as indices and expanded by ``densify``."""
+
+    def rows(self, tokens, dim):
+        encoder = HashedSequenceEncoder(dim, len(tokens))
+        return encoder.densify(encoder.encode_many(Dataset([(0, tokens)], ["a"])))[0]
+
+    def test_single_token_single_one(self):
+        out = self.rows(["tok"], 16)
+        assert out.shape == (1, 16)
+        assert out.sum() == 1.0
+        assert out[0, hash_index("tok", 16)] == 1.0
+
+    def test_row_sums(self):
+        out = self.rows(["a", PAD_TOKEN, "b"], 8)
+        np.testing.assert_array_equal(out.sum(axis=1), [1.0, 0.0, 1.0])
+
+    def test_collision_rows_identical(self):
+        # find two distinct tokens colliding at dim 2 via the hash oracle
+        base = "tok0"
+        partner = next(f"tok{i}" for i in range(1, 100)
+                       if hash_index(f"tok{i}", 2) == hash_index(base, 2))
+        out = self.rows([base, partner], 2)
+        np.testing.assert_array_equal(out[0], out[1])
 
 
 class TestCurveFiles:
@@ -281,6 +357,21 @@ class TestCheckpoints:
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"hello world")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header,floats", [
+        ({"arch": "fnn", "hyper": {}, "meta": {}}, 0),
+        ({"arch": "fnn", "fields": [["w0", "4x2"], ["b0", [2]]]}, 10),
+        ({"arch": "fnn", "fields": [["w0", [4, 2]]]}, 8),
+        ({"arch": "fnn", "fields": [["w0", [4, 2]], ["b0", [2]], ["w1", [2, 2]]]}, 14),
+        ({"arch": "fnn", "fields": [["w0", [4, 2]], ["b0", [2]]], "hyper": [0.1]}, 10),
+    ], ids=["no-fields", "fields-not-pairs", "tensor-missing", "tensor-extra",
+            "hyper-not-object"])
+    def test_malformed_header_detected(self, tmp_path, header, floats):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n"
+                         + np.zeros(floats, dtype="<f8").tobytes())
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
