@@ -14,6 +14,8 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..embeddings import (
     EmbeddingFormatError,
     load_binary_vectors,
@@ -174,6 +176,8 @@ def _pipeline_meta(cfg: RunConfig, train: Dataset, encoder) -> dict:
     }
     if isinstance(encoder, CountEncoder):
         meta["vocab"] = [[t, f] for t, f in encoder.vocab.items()]
+    if isinstance(encoder, DenseSequenceEncoder) and encoder.tuned is not None:
+        meta["tuned_tokens"], meta["tuned_rows"] = encoder.tuned
     return meta
 
 
@@ -197,11 +201,23 @@ def _encoder_from_meta(meta: dict, embeddings_override=None):
         table = loader(path)
         table.oov_policy = meta["oov_policy"]
         table.oov_seed = meta["seed"]
-        return DenseSequenceEncoder(table, meta["max_len"])
+        encoder = DenseSequenceEncoder(table, meta["max_len"])
+        if "tuned_tokens" in meta or "tuned_rows" in meta:
+            encoder.tune(*_tuned_rows(meta, table.dim))
+        return encoder
     if encoding == "onehot":
         return HashedSequenceEncoder(meta["dim"], meta["max_len"])
     vocab = Vocabulary.from_items(meta["vocab"], meta.get("min_count", 1))
     return CountEncoder(vocab, meta["dim"])
+
+
+def _tuned_rows(meta: dict, dim: int):
+    """The fine-tuned (tokens, rows) a checkpoint stores for a ``dim``-wide table."""
+    tokens, rows = meta.get("tuned_tokens"), meta.get("tuned_rows")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and isinstance(rows, np.ndarray) and rows.shape == (len(tokens), dim)):
+        raise CheckpointError(f"checkpoint metadata holds no {dim}-wide rows for its tuned tokens")
+    return tokens, rows
 
 
 def _run_one(cfg: RunConfig, data: dict, out_dir: Path):

@@ -19,6 +19,7 @@ from ..embeddings import (
     lookup_matrix,
 )
 from ..optim import AdagradState, adagrad_step, lbfgs_minimize, sgd_step
+from ..tensor import RowGrad, gather_rows, scatter_rows
 from ..text import (
     PAD_TOKEN,
     Vocabulary,
@@ -130,10 +131,18 @@ class DenseSequenceEncoder:
     def __init__(self, table, max_len: int):
         self.table = table
         self.max_len = max_len
+        self.tuned = None  # (tokens, rows) once fine-tuned rows replaced their vectors
 
     @property
     def dim(self) -> int:
         return self.table.dim
+
+    def tune(self, tokens, rows) -> None:
+        """Replace the vectors of ``tokens`` by the fine-tuned ``rows``."""
+        rows = np.array(rows, dtype=np.float64)
+        for token, row in zip(tokens, rows):
+            self.table.entries[token] = row
+        self.tuned = (list(tokens), rows)
 
     def pad(self, tokens):
         return pad_or_truncate(tokens, self.max_len)
@@ -173,13 +182,6 @@ class HashedSequenceEncoder:
         for i, (_, tokens) in enumerate(dataset.examples):
             out[i] = self.indices(tokens)
         return out
-
-    def densify(self, idx: np.ndarray) -> np.ndarray:
-        """Expand an index batch back to explicit one-hot rows."""
-        dense = np.zeros((*idx.shape, self._dim))
-        rows, cols = np.nonzero(idx >= 0)
-        dense[rows, cols, idx[rows, cols]] = 1.0
-        return dense
 
 
 class CountEncoder:
@@ -306,26 +308,17 @@ def _batch_functions(cfg, encoder):
     ``grads_fn(params, xs, ys, rng, want_dx=False)`` returns the mean
     training loss, the batch-mean gradients and, when asked, the input
     gradient; ``probs_fn(params, xs)`` returns eval-mode class
-    distributions.  Hashed index batches go to the family's index kernels
-    where it has them and are expanded to one-hot rows otherwise.
+    distributions.  Hashed index batches go to the family's index kernels.
     """
     family = models.FAMILIES[cfg.arch]
     batch_grads, batch_probs = family.grads, family.probs
     if encoder.kind == "hashed":
-        batch_grads = family.hashed_grads or _densified(family.grads, encoder)
-        batch_probs = family.hashed_probs or _densified(family.probs, encoder)
+        batch_grads, batch_probs = family.hashed_grads, family.hashed_probs
 
     def grads_fn(params, xs, ys, rng, want_dx=False):
         losses, *rest = batch_grads(params, xs, ys, train=True, rng=rng, want_dx=want_dx)
         return (float(losses.mean()), *rest)
     return grads_fn, batch_probs
-
-
-def _densified(batch_fn, encoder):
-    """``batch_fn`` applied to index batches expanded to explicit one-hot rows."""
-    def on_indices(params, idx, *args, **kwargs):
-        return batch_fn(params, encoder.densify(idx), *args, **kwargs)
-    return on_indices
 
 
 def _classes(probs_fn, params, xs) -> np.ndarray:
@@ -344,19 +337,17 @@ def _accuracy(probs_fn, params, x_test, y_test) -> float:
 class _FineTuner:
     """Trainable copy of the embedding rows used by the training set.
 
-    Sequences become row indices into a dense matrix whose rows join the
-    optimizer state; the padding row stays pinned at zero.  After training
-    the tuned rows are written back into the in-process embedding table.
+    Sequences become row indices into a matrix whose rows join the
+    optimizer state; padding, and test tokens the training set lacks, are
+    -1.  After training the tuned rows go back to the encoder.
     """
 
     def __init__(self, encoder: DenseSequenceEncoder, train: Dataset, test: Dataset):
         self.encoder = encoder
-        seen = sorted({t for _, tokens in train.examples
-                       for t in encoder.pad(tokens) if t != PAD_TOKEN})
-        self.tokens = seen
-        self.row = {t: i for i, t in enumerate(seen)}
-        self.pad_row = len(seen)
-        self.matrix = np.zeros((len(seen) + 1, encoder.dim))
+        self.tokens = sorted({t for _, tokens in train.examples
+                              for t in encoder.pad(tokens) if t != PAD_TOKEN})
+        self.row = {t: i for i, t in enumerate(self.tokens)}
+        self.matrix = np.zeros((len(self.tokens), encoder.dim))
         for token, i in self.row.items():
             self.matrix[i] = encoder.table.vector(token)
         self.train_idx = self._index_many(train)
@@ -372,29 +363,21 @@ class _FineTuner:
         out = np.full((len(dataset.examples), self.encoder.max_len), -1, dtype=np.int64)
         for i, (_, tokens) in enumerate(dataset.examples):
             for j, token in enumerate(self.encoder.pad(tokens)):
-                out[i, j] = self.row.get(token, -1) if token != PAD_TOKEN else self.pad_row
+                out[i, j] = self.row.get(token, -1)
         return out
 
     def gather_train(self, sel: np.ndarray) -> np.ndarray:
-        idx = self.train_idx[sel]
-        return self.matrix[np.where(idx >= 0, idx, self.pad_row)]
+        return gather_rows(self.matrix, self.train_idx[sel])
 
     def test_inputs(self) -> np.ndarray:
         idx = self.test_idx
-        gathered = self.matrix[np.where(idx >= 0, idx, self.pad_row)]
-        return np.where((idx >= 0)[:, :, None], gathered, self.test_static)
+        return np.where((idx >= 0)[:, :, None], gather_rows(self.matrix, idx), self.test_static)
 
-    def scatter_grad(self, sel: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        idx = self.train_idx[sel]
-        grad = np.zeros_like(self.matrix)
-        flat = np.where(idx >= 0, idx, self.pad_row).reshape(-1)
-        np.add.at(grad, flat, dx.reshape(-1, dx.shape[-1]))
-        grad[self.pad_row] = 0.0
-        return grad
+    def scatter_grad(self, sel: np.ndarray, dx: np.ndarray) -> RowGrad:
+        return scatter_rows(dx, self.train_idx[sel], self.matrix.shape)
 
     def write_back(self) -> None:
-        for token, i in self.row.items():
-            self.encoder.table.entries[token] = self.matrix[i].copy()
+        self.encoder.tune(self.tokens, self.matrix)
 
 
 def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):

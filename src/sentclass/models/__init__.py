@@ -19,9 +19,10 @@ from .cnn import (CnnParams, CnnTrace, cnn_backward, cnn_batch_grads, cnn_batch_
 from .fnn import (FnnParams, FnnTrace, fnn_backward, fnn_batch_loss_grads, fnn_batch_probs,
                   fnn_forward, init_fnn)
 from .lstm import (LstmParams, LstmTrace, init_lstm, lstm_backward, lstm_batch_grads,
-                   lstm_batch_probs, lstm_batch_probs_hashed, lstm_forward)
-from .rnn import (RnnParams, RnnTrace, init_rnn, rnn_backward, rnn_batch_grads, rnn_batch_probs,
-                  rnn_batch_probs_hashed, rnn_forward)
+                   lstm_batch_grads_hashed, lstm_batch_probs, lstm_batch_probs_hashed,
+                   lstm_forward)
+from .rnn import (RnnParams, RnnTrace, init_rnn, rnn_backward, rnn_batch_grads,
+                  rnn_batch_grads_hashed, rnn_batch_probs, rnn_batch_probs_hashed, rnn_forward)
 
 ModelParams = Union[FnnParams, CnnParams, RnnParams, LstmParams]
 
@@ -71,8 +72,9 @@ class Family:
     ``grads(params, xs, labels, train, rng, want_dx)`` gives per-example
     losses, batch-mean gradients keyed like ``params.tensors()`` and, when
     ``want_dx`` is set, the input gradient.  ``hashed_probs``/``hashed_grads``
-    take hashed one-hot inputs as index sequences (pad = -1); where a family
-    has none, those inputs reach ``probs``/``grads`` as explicit one-hot rows.
+    take hashed one-hot inputs as index sequences (pad = -1) and return the
+    gradient of the weights those rows multiply as a ``tensor.RowGrad``; the
+    fnn, which takes count vectors only, has none.
     """
 
     params: type
@@ -94,9 +96,11 @@ FAMILIES = {
                   cnn_batch_grads, cnn_forward, cnn_backward,
                   cnn_batch_probs_hashed, cnn_batch_grads_hashed),
     "rnn": Family(RnnParams, RnnSpec, RnnTrace, init_rnn, rnn_batch_probs,
-                  rnn_batch_grads, rnn_forward, rnn_backward, rnn_batch_probs_hashed),
+                  rnn_batch_grads, rnn_forward, rnn_backward,
+                  rnn_batch_probs_hashed, rnn_batch_grads_hashed),
     "lstm": Family(LstmParams, LstmSpec, LstmTrace, init_lstm, lstm_batch_probs,
-                   lstm_batch_grads, lstm_forward, lstm_backward, lstm_batch_probs_hashed),
+                   lstm_batch_grads, lstm_forward, lstm_backward,
+                   lstm_batch_probs_hashed, lstm_batch_grads_hashed),
 }
 
 

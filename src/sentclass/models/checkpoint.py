@@ -3,7 +3,9 @@
 Layout: a magic line, one JSON header line (architecture tag, ordered field
 names and shapes, non-tensor hyperparameters, arbitrary caller metadata),
 then the parameter tensors concatenated as little-endian float64 in header
-order.  Writing and re-reading a checkpoint is bit-exact.
+order.  Metadata values that are arrays follow the parameters in the same
+encoding, listed under the header's ``arrays`` key.  Writing and re-reading
+a checkpoint is bit-exact.
 """
 
 import json
@@ -25,19 +27,24 @@ def _hyper(params) -> dict:
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
-    """Write params (and optional JSON-serializable metadata) to ``path``."""
+    """Write params and optional metadata to ``path``: JSON-serializable
+    values, or numpy arrays stored as float64 tensors."""
     tensors = params.tensors()
+    meta = dict(meta or {})
+    arrays = {k: meta.pop(k) for k, v in list(meta.items()) if isinstance(v, np.ndarray)}
     header = {
         "arch": params.arch,
         "fields": [[name, list(t.shape)] for name, t in tensors.items()],
         "hyper": _hyper(params),
-        "meta": meta or {},
+        "meta": meta,
     }
+    if arrays:
+        header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, tensor in tensors.items():
+        for tensor in (*tensors.values(), *arrays.values()):
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
@@ -58,19 +65,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         family = FAMILIES.get(arch)
         if family is None:
             raise CheckpointError(f"{path}: unknown architecture {arch!r}")
-        fields = header.get("fields")
-        if not (isinstance(fields, list) and all(_is_field(f) for f in fields)):
-            raise CheckpointError(f"{path}: header fields are not a list of [name, shape] pairs")
+        fields, arrays = header.get("fields"), header.get("arrays", [])
+        for key, value in (("fields", fields), ("arrays", arrays)):
+            if not (isinstance(value, list) and all(_is_field(f) for f in value)):
+                raise CheckpointError(f"{path}: header {key} are not a list of [name, shape] pairs")
         hyper, meta = header.get("hyper", {}), header.get("meta", {})
         if not (isinstance(hyper, dict) and isinstance(meta, dict)):
             raise CheckpointError(f"{path}: header hyper and meta must be JSON objects")
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in fields:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        tensors = _read_tensors(fh, fields, path)
+        meta.update(_read_tensors(fh, arrays, path))
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
@@ -81,7 +84,42 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     names = sorted(name for name, _ in fields)
     if sorted(params.tensors()) != names:
         raise CheckpointError(f"{path}: tensors {names} do not make {arch} parameters")
+    problem = _shape_problem(params)
+    if problem:
+        raise CheckpointError(f"{path}: {problem}")
     return params, meta
+
+
+def _read_tensors(fh, fields, path) -> dict[str, np.ndarray]:
+    tensors = {}
+    for name, shape in fields:
+        count = int(np.prod(shape)) if shape else 1
+        raw = fh.read(8 * count)
+        if len(raw) != 8 * count:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    return tensors
+
+
+def _shape_problem(params) -> str | None:
+    """Why the tensor shapes of ``params`` do not fit together, or None.
+
+    ``params.dims()`` names each tensor's axes; axes with one name must have
+    one size, and every size is at least 1.
+    """
+    tensors = params.tensors()
+    sizes: dict[str, int] = {}
+    for name, axes in params.dims().items():
+        shape = tensors[name].shape
+        if len(shape) != len(axes):
+            return f"tensor {name!r} has shape {list(shape)}, expected axes {list(axes)}"
+        for axis, size in zip(axes, shape):
+            if size < 1:
+                return f"tensor {name!r} has an empty {axis} axis"
+            if sizes.setdefault(axis, size) != size:
+                return (f"tensor {name!r} has {axis} size {size}, "
+                        f"other tensors have {sizes[axis]}")
+    return None
 
 
 def _is_field(field) -> bool:

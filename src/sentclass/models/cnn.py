@@ -10,7 +10,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import conv1d_wgram, dropout_mask, max_pool_time, relu, softmax, softmax_rows
+from ..tensor import (conv1d_wgram, dropout_mask, gather_rows, max_pool_time, relu,
+                      scatter_rows, softmax, softmax_rows)
 from .head import head_grads
 
 
@@ -54,6 +55,12 @@ class CnnParams:
             "w_out": self.w_out,
             "b_out": self.b_out,
         }
+
+    def dims(self) -> dict[str, tuple[str, ...]]:
+        """Each tensor's axes by name; axes with one name have one size."""
+        return {"filters": ("filters", "embed", "window"), "conv_bias": ("filters",),
+                "w_fc": ("filters", "hidden"), "b_fc": ("hidden",),
+                "w_out": ("hidden", "classes"), "b_out": ("classes",)}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "CnnParams":
@@ -236,57 +243,39 @@ def cnn_batch_grads(params: CnnParams, xs: np.ndarray, labels: np.ndarray,
     return losses, grads, dx
 
 
-# Hashed one-hot inputs: a one-hot row times the filter bank is a column
-# gather, so sentences travel as index sequences (pad = -1) and the
-# convolution never materialises the one-hot matrix.
-
-
-def _gather_tables(params):
-    # per-offset lookup tables with a trailing zero row for padding
-    window = params.window
-    d = params.embed_dim
-    tables = []
-    for k in range(window):
-        table = np.vstack([params.filters[:, :, k].T, np.zeros(params.n_filters)])
-        tables.append(table)
-    return tables, d
+# Hashed one-hot inputs: a one-hot row times the filter bank is a gather of
+# filter columns (the bank's embed axis), so sentences travel as index
+# sequences (pad = -1), the convolution never materialises the one-hot
+# matrix and the filter gradient holds only the columns a batch touched.
 
 
 def _hashed_conv(params, idx):
-    tables, d = _gather_tables(params)
-    window = params.window
-    idx_safe = np.where(idx >= 0, idx, d)
-    idx_windows = np.lib.stride_tricks.sliding_window_view(idx_safe, window, axis=1)
-    conv_pre = np.full(
-        (idx.shape[0], idx.shape[1] - window + 1, params.n_filters),
-        0.0,
-    )
-    for k in range(window):
-        conv_pre += tables[k][idx_windows[:, :, k]]
+    t_steps = idx.shape[1] - params.window + 1
+    conv_pre = np.zeros((idx.shape[0], t_steps, params.n_filters))
+    for k in range(params.window):
+        conv_pre += gather_rows(params.filters[:, :, k], idx[:, k:k + t_steps], axis=1)
     conv_pre += params.conv_bias
-    return conv_pre, idx_windows
+    return conv_pre
 
 
 def cnn_batch_probs_hashed(params: CnnParams, idx: np.ndarray) -> np.ndarray:
     """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    conv_pre, _ = _hashed_conv(params, idx)
-    return _probs_from_conv(params, conv_pre)
+    return _probs_from_conv(params, _hashed_conv(params, idx))
 
 
 def cnn_batch_grads_hashed(params: CnnParams, idx: np.ndarray, labels: np.ndarray,
                            train: bool = True, rng: np.random.Generator | None = None,
                            want_dx: bool = False):
-    """Losses and mean gradients for hashed one-hot index sequences."""
+    """Losses and mean gradients for hashed one-hot index sequences; the
+    filter gradient is a ``RowGrad`` over the embed axis."""
     if want_dx:
         raise ValueError("index sequences have no input gradient")
-    d = params.embed_dim
-    conv_pre, idx_windows = _hashed_conv(params, idx)
+    conv_pre = _hashed_conv(params, idx)
     losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
-    g_filters = np.zeros_like(params.filters)
-    flat_dconv = d_conv.reshape(-1, params.n_filters)
+    # d_gathered[b, s, :, k]: gradient at the column that position s feeds to offset k
+    t_steps = conv_pre.shape[1]
+    d_gathered = np.zeros((*idx.shape, params.n_filters, params.window))
     for k in range(params.window):
-        g_table = np.zeros((d + 1, params.n_filters))
-        np.add.at(g_table, idx_windows[:, :, k].reshape(-1), flat_dconv)
-        g_filters[:, :, k] = g_table[:d].T  # padding row dropped
-    grads["filters"] = g_filters
+        d_gathered[:, k:k + t_steps, :, k] = d_conv
+    grads["filters"] = scatter_rows(d_gathered, idx, params.filters.shape, axis=1)
     return losses, grads

@@ -32,6 +32,14 @@ class FnnParams:
             out[f"b{i}"] = b
         return out
 
+    def dims(self) -> dict[str, tuple[str, ...]]:
+        """Each tensor's axes by name; axes with one name have one size."""
+        out: dict[str, tuple[str, ...]] = {}
+        for i in range(len(self.weights)):
+            out[f"w{i}"] = (f"width {i}", f"width {i + 1}")
+            out[f"b{i}"] = (f"width {i + 1}",)
+        return out
+
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "FnnParams":
         depth = len(tensors) // 2

@@ -18,7 +18,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import ShapeError, dropout_mask, gather_rows, sigmoid, softmax, softmax_rows
+from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
+                      softmax_rows)
 from .head import head_grads
 
 _GATES = ("i", "f", "o", "g")
@@ -64,6 +65,15 @@ class LstmParams:
         out["w_head"] = self.w_head
         out["b_head"] = self.b_head
         return out
+
+    def dims(self) -> dict[str, tuple[str, ...]]:
+        """Each tensor's axes by name; axes with one name have one size."""
+        out = {}
+        for gate in _GATES:
+            out[f"wx_{gate}"] = ("embed", "hidden")
+            out[f"wh_{gate}"] = ("hidden", "hidden")
+            out[f"b_{gate}"] = ("hidden",)
+        return {**out, "w_head": ("hidden", "classes"), "b_head": ("classes",)}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "LstmParams":
@@ -237,19 +247,18 @@ def lstm_batch_probs_hashed(params: LstmParams, idx: np.ndarray) -> np.ndarray:
     return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
 
 
-def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
-                     train: bool = True, rng: np.random.Generator | None = None,
-                     want_dx: bool = False):
-    """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    b, n, _ = xs.shape
-    gate_i, gate_f, gate_o, cand, cell, hiddens = _batch_cell(
-        params, _input_projections(params, xs))
+def _batch_grads(params, states, labels, train, rng, input_grad):
+    """Losses and gradients from the ``_batch_cell`` states.  The input
+    weights' gradients ``g["wx_*"]`` are left to ``input_grad(t, dpres, g)``,
+    which BPTT hands each step's pre-activation gradients in ``_GATES``
+    order, last step first."""
+    gate_i, gate_f, gate_o, cand, cell, hiddens = states
+    n, b, _ = hiddens.shape
     tanh_cell = np.tanh(cell)
     g = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     losses, g["w_head"], g["b_head"], dh = head_grads(
         hiddens[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     dc = np.zeros((b, params.hidden))
-    dx = np.zeros_like(xs) if want_dx else None
     for t in reversed(range(n)):
         i_t, f_t, o_t = gate_i[t], gate_f[t], gate_o[t]
         u_t, tc_t = cand[t], tanh_cell[t]
@@ -262,17 +271,54 @@ def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
         dpre_o = d_o * o_t * (1.0 - o_t)
         dpre_u = dc * i_t * (1.0 - u_t * u_t)
         dc_next = dc * f_t
-        xt = xs[:, t, :]
+        input_grad(t, (dpre_i, dpre_f, dpre_o, dpre_u), g)
         for gate, dpre in zip(_GATES, (dpre_i, dpre_f, dpre_o, dpre_u)):
-            g[f"wx_{gate}"] += xt.T @ dpre
             g[f"wh_{gate}"] += h_prev.T @ dpre
             g[f"b_{gate}"] += dpre.sum(axis=0)
-        if want_dx:
-            dx[:, t, :] = (dpre_i @ params.wx_i.T + dpre_f @ params.wx_f.T
-                           + dpre_o @ params.wx_o.T + dpre_u @ params.wx_g.T)
         dh = (dpre_i @ params.wh_i.T + dpre_f @ params.wh_f.T
               + dpre_o @ params.wh_o.T + dpre_u @ params.wh_g.T)
         dc = dc_next
+    return losses, g
+
+
+def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
+                     train: bool = True, rng: np.random.Generator | None = None,
+                     want_dx: bool = False):
+    """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
+    dx = np.zeros_like(xs) if want_dx else None
+
+    def input_grad(t, dpres, g):
+        xt = xs[:, t, :]
+        for gate, dpre in zip(_GATES, dpres):
+            g[f"wx_{gate}"] += xt.T @ dpre
+        if want_dx:
+            dpre_i, dpre_f, dpre_o, dpre_u = dpres
+            dx[:, t, :] = (dpre_i @ params.wx_i.T + dpre_f @ params.wx_f.T
+                           + dpre_o @ params.wx_o.T + dpre_u @ params.wx_g.T)
+
+    states = _batch_cell(params, _input_projections(params, xs))
+    losses, g = _batch_grads(params, states, labels, train, rng, input_grad)
     if want_dx:
         return losses, g, dx
+    return losses, g
+
+
+def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndarray,
+                            train: bool = True, rng: np.random.Generator | None = None,
+                            want_dx: bool = False):
+    """Losses and mean gradients for hashed one-hot index sequences (B, n):
+    the input projections are row gathers, their gradients ``RowGrad``s."""
+    if want_dx:
+        raise ValueError("index sequences have no input gradient")
+    steps = idx.T
+    dpres = np.empty((len(_GATES), *steps.shape, params.hidden))
+
+    def input_grad(t, step_dpres, _):
+        dpres[:, t] = step_dpres
+
+    states = _batch_cell(params, [gather_rows(getattr(params, f"wx_{gate}"), steps)
+                                  for gate in _GATES])
+    losses, g = _batch_grads(params, states, labels, train, rng, input_grad)
+    for gate, gate_dpres in zip(_GATES, dpres):
+        g[f"wx_{gate}"] = scatter_rows(gate_dpres, steps, params.wx_i.shape)
     return losses, g

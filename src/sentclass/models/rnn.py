@@ -10,7 +10,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import ShapeError, dropout_mask, gather_rows, sigmoid, softmax, softmax_rows
+from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
+                      softmax_rows)
 from .head import head_grads
 
 
@@ -44,6 +45,11 @@ class RnnParams:
             "w_head": self.w_head,
             "b_head": self.b_head,
         }
+
+    def dims(self) -> dict[str, tuple[str, ...]]:
+        """Each tensor's axes by name; axes with one name have one size."""
+        return {"w_in": ("embed", "hidden"), "w_rec": ("hidden", "hidden"),
+                "b_rec": ("hidden",), "w_head": ("hidden", "classes"), "b_head": ("classes",)}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "RnnParams":
@@ -168,35 +174,58 @@ def rnn_batch_probs_hashed(params: RnnParams, idx: np.ndarray) -> np.ndarray:
     return softmax_rows(hs[-1] @ params.w_head + params.b_head)
 
 
+def _batch_grads(params, hs, labels, train, rng, input_grad):
+    """Losses and the gradients of every tensor but ``w_in`` from the hidden
+    states ``hs``; BPTT hands each step's pre-activation gradient to
+    ``input_grad(t, dpre)``, last step first."""
+    losses, g_w_head, g_b_head, dh = head_grads(
+        hs[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
+    g_w_rec = np.zeros_like(params.w_rec)
+    g_b_rec = np.zeros_like(params.b_rec)
+    for t in reversed(range(hs.shape[0])):
+        h_t = hs[t]
+        dpre = dh * h_t * (1.0 - h_t)
+        input_grad(t, dpre)
+        g_b_rec += dpre.sum(axis=0)
+        h_prev = hs[t - 1] if t > 0 else np.zeros_like(h_t)
+        g_w_rec += h_prev.T @ dpre
+        dh = dpre @ params.w_rec.T
+    return losses, {"w_rec": g_w_rec, "b_rec": g_b_rec, "w_head": g_w_head, "b_head": g_b_head}
+
+
 def rnn_batch_grads(params: RnnParams, xs: np.ndarray, labels: np.ndarray,
                     train: bool = True, rng: np.random.Generator | None = None,
                     want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    n = xs.shape[1]
-    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
-    losses, g_w_head, g_b_head, dh = head_grads(
-        hs[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     g_w_in = np.zeros_like(params.w_in)
-    g_w_rec = np.zeros_like(params.w_rec)
-    g_b_rec = np.zeros_like(params.b_rec)
     dx = np.zeros_like(xs) if want_dx else None
-    for t in reversed(range(n)):
-        h_t = hs[t]
-        dpre = dh * h_t * (1.0 - h_t)
-        g_w_in += xs[:, t, :].T @ dpre
-        g_b_rec += dpre.sum(axis=0)
-        h_prev = hs[t - 1] if t > 0 else np.zeros_like(h_t)
-        g_w_rec += h_prev.T @ dpre
+
+    def input_grad(t, dpre):
+        g_w_in[...] += xs[:, t, :].T @ dpre
         if want_dx:
             dx[:, t, :] = dpre @ params.w_in.T
-        dh = dpre @ params.w_rec.T
-    grads = {
-        "w_in": g_w_in,
-        "w_rec": g_w_rec,
-        "b_rec": g_b_rec,
-        "w_head": g_w_head,
-        "b_head": g_b_head,
-    }
+
+    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+    losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
+    grads = {"w_in": g_w_in, **grads}
     if want_dx:
         return losses, grads, dx
     return losses, grads
+
+
+def rnn_batch_grads_hashed(params: RnnParams, idx: np.ndarray, labels: np.ndarray,
+                           train: bool = True, rng: np.random.Generator | None = None,
+                           want_dx: bool = False):
+    """Losses and mean gradients for hashed one-hot index sequences (B, n):
+    the input projection is a row gather, its gradient a ``RowGrad``."""
+    if want_dx:
+        raise ValueError("index sequences have no input gradient")
+    steps = idx.T
+    dpres = np.empty((*steps.shape, params.hidden))
+
+    def input_grad(t, dpre):
+        dpres[t] = dpre
+
+    hs = _batch_hiddens(params, gather_rows(params.w_in, steps))
+    losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
+    return losses, {"w_in": scatter_rows(dpres, steps, params.w_in.shape), **grads}

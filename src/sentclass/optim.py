@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError
+from .tensor import RowGrad, ShapeError
 
 PROB_CLAMP = 1e-15
 
@@ -56,22 +56,37 @@ class AdagradState:
 
 
 def adagrad_step(state: AdagradState, params: dict, grads: dict) -> None:
-    """One Adagrad update, in place."""
+    """One Adagrad update, in place.
+
+    A ``RowGrad`` updates only its rows and their accumulators: a zero
+    gradient leaves a coordinate and its accumulator where they were.
+    """
     _check_shapes(params, grads)
     rate = state.lr / (1.0 + state.decay * state.step)
     for name, p in params.items():
         g = grads[name]
         acc = state.accum[name]
-        acc += g * g
-        p -= rate * g / np.sqrt(acc + state.eps)
+        if isinstance(g, RowGrad):
+            at, g = g.index, g.values
+            acc_rows = acc[at]
+            acc_rows += g * g
+            acc[at] = acc_rows
+            p[at] -= rate * g / np.sqrt(acc_rows + state.eps)
+        else:
+            acc += g * g
+            p -= rate * g / np.sqrt(acc + state.eps)
     state.step += 1
 
 
 def sgd_step(params: dict, grads: dict, lr: float) -> None:
-    """Plain gradient step, in place."""
+    """Plain gradient step, in place; a ``RowGrad`` moves only its rows."""
     _check_shapes(params, grads)
     for name, p in params.items():
-        p -= lr * grads[name]
+        g = grads[name]
+        if isinstance(g, RowGrad):
+            p[g.index] -= lr * g.values
+        else:
+            p -= lr * g
 
 
 @dataclass

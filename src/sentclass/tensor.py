@@ -1,10 +1,13 @@
-"""Dense float64 kernels shared by every model family.
+"""Float64 kernels shared by every model family.
 
 A tensor here is simply a C-contiguous ``numpy.ndarray`` of rank 1 to 3
-holding 64-bit floats.  All operations are pure functions of their inputs
+holding 64-bit floats; a ``RowGrad`` is a gradient that is zero outside some
+rows of one.  All operations are pure functions of their inputs
 (plus an explicit random generator where noise is involved), so values can
 be shared read-only across threads.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,12 +97,75 @@ def softmax_rows(z) -> Tensor:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def gather_rows(w, idx) -> Tensor:
-    """Rows of ``w`` picked by an integer index array, zero rows where the
-    index is -1: the product of hashed one-hot rows, carried as indices, with
-    ``w``.  The result has shape ``idx.shape + (w.shape[1],)``."""
-    table = np.vstack([w, np.zeros(w.shape[1])])
-    return table[np.where(idx >= 0, idx, w.shape[0])]
+@dataclass(frozen=True, eq=False)
+class RowGrad:
+    """Gradient of a ``shape`` tensor that is zero outside some of its rows.
+
+    A row is a slice along ``axis``; ``rows`` holds their sorted indices and
+    ``values`` the slices, the row axis at ``axis`` as in the full tensor.
+    ``np.asarray`` and indexing give the dense gradient; ``adagrad_step`` and
+    ``sgd_step`` update only the rows.
+    """
+
+    rows: np.ndarray
+    values: Tensor
+    axis: int
+    shape: tuple
+
+    @property
+    def index(self) -> tuple:
+        """Index of the rows in a full tensor: ``full[g.index]`` lines up with ``values``."""
+        return (slice(None),) * self.axis + (self.rows,)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.index] = self.values
+        return dense
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+
+def _distinct(idx):
+    # sorted distinct indices (pad -1 first when present) and each entry's slot
+    rows, slots = np.unique(idx, return_inverse=True)
+    return rows, slots.reshape(idx.shape), int(rows.size > 0 and rows[0] < 0)
+
+
+def gather_rows(w, idx, axis=0) -> Tensor:
+    """Rows of ``w`` (slices along ``axis``) picked by an integer index array,
+    zero where the index is -1: the product of hashed one-hot rows, carried
+    as indices, with ``w``.
+
+    The lookup table holds only the distinct rows ``idx`` uses, plus a zero
+    slot for padding.  The result has shape ``idx.shape`` followed by the
+    other axes of ``w`` in order.
+    """
+    rows, slots, pad = _distinct(idx)
+    table = np.moveaxis(w, axis, 0)[rows]  # copies the used rows only
+    table[:pad] = 0.0  # the pad slot read the last row
+    return table[slots]
+
+
+def scatter_rows(values, idx, shape, axis=0) -> RowGrad:
+    """Gradient of ``gather_rows(w, idx, axis)`` for a ``shape`` tensor ``w``,
+    given the gradient ``values`` of its result.
+
+    The entries of ``values`` are summed per distinct index in input order
+    (``np.add.at``), so each row is bit-for-bit the row a dense scatter-add
+    gives; the padding slot is dropped.
+    """
+    rows, slots, pad = _distinct(idx)
+    flat = values.reshape(idx.size, -1)
+    width = flat.shape[1]
+    # one flat index per entry: np.add.at runs far faster on a 1-D target,
+    # and each entry still receives its terms in input order
+    targets = (slots.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    sums = np.zeros(rows.size * width)
+    np.add.at(sums, targets, flat.reshape(-1))
+    rest = tuple(shape[:axis]) + tuple(shape[axis + 1:])
+    sums = sums.reshape(rows.size, *rest)[pad:]
+    return RowGrad(rows[pad:], np.moveaxis(sums, 0, axis), axis, tuple(shape))
 
 
 def max_pool_time(y):

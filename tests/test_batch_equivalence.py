@@ -17,9 +17,11 @@ from sentclass.models.cnn import (
     cnn_batch_probs_hashed,
 )
 from sentclass.models.fnn import fnn_batch_loss_grads, fnn_batch_probs
-from sentclass.models.lstm import lstm_batch_grads, lstm_batch_probs, lstm_batch_probs_hashed
-from sentclass.models.rnn import rnn_batch_grads, rnn_batch_probs, rnn_batch_probs_hashed
-from sentclass.optim import cross_entropy
+from sentclass.models.lstm import (lstm_batch_grads, lstm_batch_grads_hashed, lstm_batch_probs,
+                                   lstm_batch_probs_hashed)
+from sentclass.models.rnn import (rnn_batch_grads, rnn_batch_grads_hashed, rnn_batch_probs,
+                                  rnn_batch_probs_hashed)
+from sentclass.optim import cross_entropy, grad_check
 from sentclass.tensor import make_rng
 
 
@@ -50,7 +52,16 @@ def densify(idx, dim):
 def assert_grads_close(got, want, atol=1e-12):
     assert set(got) == set(want)
     for key in want:
-        np.testing.assert_allclose(got[key], want[key], atol=atol, err_msg=key)
+        np.testing.assert_allclose(np.asarray(got[key]), want[key], atol=atol, err_msg=key)
+
+
+def random_indices(rng, batch, n, dim, min_len=1):
+    """Index sequences with pad tails (-1)."""
+    idx = np.full((batch, n), -1, dtype=np.int64)
+    for i in range(batch):
+        length = int(rng.integers(min_len, n + 1))
+        idx[i, :length] = rng.integers(0, dim, size=length)
+    return idx
 
 
 class TestFnnBatch:
@@ -249,3 +260,62 @@ def test_recurrent_hashed_probs_match_dense_path(spec, dense_probs, hashed_probs
         idx[i, :length] = rng.integers(0, 16, size=length)
     np.testing.assert_allclose(hashed_probs(params, idx),
                                dense_probs(params, densify(idx, 16)), atol=1e-12)
+
+
+RECURRENT_HASHED = {
+    "rnn": (M.RnnSpec, rnn_batch_grads, rnn_batch_grads_hashed),
+    "lstm": (M.LstmSpec, lstm_batch_grads, lstm_batch_grads_hashed),
+}
+
+
+@pytest.mark.parametrize("arch", RECURRENT_HASHED)
+class TestRecurrentHashedGrads:
+    """Index kernels against the dense kernels on explicit one-hot rows."""
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_grads_match_dense_path(self, arch, batch):
+        spec, dense_grads, hashed_grads = RECURRENT_HASHED[arch]
+        params = M.init_params(spec(embed_dim=16, classes=3, hidden=5, dropout=0.0), 18)
+        rng = np.random.default_rng(19)
+        idx = random_indices(rng, batch, 8, 16)
+        labels = rng.integers(0, 3, size=batch)
+        h_losses, h_grads = hashed_grads(params, idx, labels, train=False)
+        d_losses, d_grads = dense_grads(params, densify(idx, 16), labels, train=False)
+        np.testing.assert_allclose(h_losses, d_losses, atol=1e-12)
+        assert_grads_close(h_grads, d_grads)
+
+    def test_train_mode_dropout_stream_matches(self, arch):
+        spec, dense_grads, hashed_grads = RECURRENT_HASHED[arch]
+        params = M.init_params(spec(embed_dim=16, classes=3, hidden=5, dropout=0.3), 20)
+        rng = np.random.default_rng(21)
+        idx = random_indices(rng, 5, 7, 16)
+        labels = rng.integers(0, 3, size=5)
+        h_losses, h_grads = hashed_grads(params, idx, labels, train=True, rng=make_rng(6))
+        d_losses, d_grads = dense_grads(params, densify(idx, 16), labels, train=True,
+                                        rng=make_rng(6))
+        np.testing.assert_allclose(h_losses, d_losses, atol=1e-12)
+        assert_grads_close(h_grads, d_grads)
+
+    def test_grads_by_finite_differences(self, arch):
+        # criterion 1's bound, through the route hashed training takes
+        spec, _, hashed_grads = RECURRENT_HASHED[arch]
+        params = M.init_params(spec(embed_dim=10, classes=3, hidden=4, dropout=0.0), 22)
+        rng = np.random.default_rng(23)
+        idx = random_indices(rng, 4, 5, 10)
+        labels = rng.integers(0, 3, size=4)
+
+        def loss_fn():
+            return float(hashed_grads(params, idx, labels, train=False)[0].mean())
+
+        def grad_fn():
+            _, grads = hashed_grads(params, idx, labels, train=False)
+            return {name: np.asarray(g) for name, g in grads.items()}
+
+        assert grad_check(loss_fn, grad_fn, params.tensors(), max_coords=10_000) < 1e-4
+
+    def test_input_gradient_refused(self, arch):
+        spec, _, hashed_grads = RECURRENT_HASHED[arch]
+        params = M.init_params(spec(embed_dim=4, classes=2, hidden=3), 0)
+        with pytest.raises(ValueError, match="no input gradient"):
+            hashed_grads(params, np.zeros((1, 2), dtype=np.int64), np.array([0]),
+                         train=False, want_dx=True)

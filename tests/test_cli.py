@@ -9,7 +9,9 @@ import sentclass.models as M
 from sentclass.harness.cli import main
 from sentclass.harness.data import Dataset, write_tsv
 from sentclass.harness.run import _EVAL_CHUNK, load_curve
-from sentclass.models.checkpoint import save_checkpoint
+from sentclass.embeddings import load_text_vectors
+from sentclass.harness.synth import write_embeddings_file
+from sentclass.models.checkpoint import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -93,19 +95,45 @@ class TestTrainCommand:
         assert (out_a / "config.txt").read_text() == (out_b / "config.txt").read_text()
 
 
+def assert_eval_matches_curve(out_dir, corpus_file, capsys):
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
+            "--test", str(corpus_file), "--format", "tsv"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    final = load_curve(out_dir / "curve.csv").points[-1].test_accuracy
+    assert f"accuracy {final:.4f}" in printed
+
+
 class TestEvalAndPredict:
     def test_eval_matches_training_accuracy(self, corpus_file, tmp_path, capsys):
         out_dir = tmp_path / "run"
         # explicit --test so the curve and eval score the same examples
         assert main(train_args(corpus_file, out_dir, "--epochs", "6",
                                "--test", str(corpus_file))) == 0
-        capsys.readouterr()
-        args = ["eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
-                "--test", str(corpus_file), "--format", "tsv"]
-        assert main(args) == 0
-        printed = capsys.readouterr().out
-        final = load_curve(out_dir / "curve.csv").points[-1].test_accuracy
-        assert f"accuracy {final:.4f}" in printed
+        assert_eval_matches_curve(out_dir, corpus_file, capsys)
+
+    @pytest.mark.parametrize("arch", ["cnn", "lstm"])
+    def test_eval_matches_training_accuracy_fine_tuned(self, corpus_file, tmp_path, capsys,
+                                                       arch):
+        vectors = tmp_path / "vectors.txt"
+        write_embeddings_file(vectors, [f"cue{c}" for c in range(2)]
+                              + [f"pad{j}" for j in range(5)], dim=6, seed=4)
+        config = tmp_path / "fine.cfg"
+        config.write_text(f"arch={arch}\nencoding=glove\nembeddings={vectors}\n"
+                          "fine_tune=true\nwindow=2\nhidden=6\nepochs=4\nbatch=8\n"
+                          "max_len=6\nseed=5\nlr=0.3\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--format", "tsv",
+                     "--train", str(corpus_file), "--test", str(corpus_file),
+                     "--out", str(out_dir)]) == 0
+        assert_eval_matches_curve(out_dir, corpus_file, capsys)
+        # the tuned rows moved away from the file's vectors
+        _, meta = load_checkpoint(out_dir / "checkpoint.bin")
+        table = load_text_vectors(vectors)
+        assert sorted(meta["tuned_tokens"]) == meta["tuned_tokens"]
+        assert any(np.any(row != table.vector(token))
+                   for token, row in zip(meta["tuned_tokens"], meta["tuned_rows"]))
 
     def test_predict_labels_lines(self, corpus_file, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "run"
@@ -155,6 +183,16 @@ class TestEvalAndPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["predict", "--checkpoint", str(out_dir / "checkpoint.bin")]) == 0
         assert capsys.readouterr().out.splitlines() == [["alpha", "beta"][c] for c in classes]
+
+    def test_disagreeing_tensor_shapes_are_data_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "checkpoint.bin"
+        params = M.init_params(M.RnnSpec(embed_dim=32, classes=2, hidden=4), 0)
+        params.w_head = np.zeros((5, 2))
+        meta = {"labels": ["alpha", "beta"], "encoding": "onehot", "dim": 32, "max_len": 6}
+        save_checkpoint(path, params, meta)
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
+        assert main(["predict", "--checkpoint", str(path)]) == 2
+        assert "w_head" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["encoding", "labels", "dim", "max_len"])
     def test_metadata_without_key_is_data_error(self, tmp_path, monkeypatch, key):

@@ -12,7 +12,7 @@ from sentclass.optim import (
     lbfgs_minimize,
     sgd_step,
 )
-from sentclass.tensor import ShapeError
+from sentclass.tensor import ShapeError, scatter_rows
 
 
 class TestCrossEntropy:
@@ -133,6 +133,57 @@ class TestSgd:
         sgd_step(params, grads, lr=0.5)
         np.testing.assert_allclose(params["w"], [0.9, -1.2, 0.8], atol=1e-15)
         np.testing.assert_allclose(params["b"], [-0.5], atol=1e-15)
+
+
+class TestRowSparseUpdates:
+    """A ``RowGrad`` update must equal, bit for bit, the dense update from
+    ``np.asarray`` of the same gradient, accumulators included."""
+
+    CASES = {
+        # a hashed one-hot input table: (dim, width), rows on axis 0
+        "table-axis-0": ((8192, 256), 0, (128, 20)),
+        # a CNN filter bank (filters, embed, window), rows on the embed axis
+        "bank-axis-1": ((6, 40, 3), 1, (5, 7)),
+    }
+
+    def batches(self, shape, axis, idx_shape, steps, seed):
+        rng = np.random.default_rng(seed)
+        rest = shape[:axis] + shape[axis + 1:]
+        for _ in range(steps):
+            # a small pool of indices makes repeats likely; -1 is padding
+            pool = rng.integers(0, shape[axis], size=12)
+            idx = rng.choice(np.append(pool, -1), size=idx_shape)
+            yield scatter_rows(rng.normal(size=(*idx_shape, *rest)), idx, shape, axis)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_adagrad_matches_dense(self, case):
+        shape, axis, idx_shape = self.CASES[case]
+        start = np.random.default_rng(1).normal(size=shape)
+        sparse, dense = {"w": start.copy()}, {"w": start.copy()}
+        s_state = AdagradState.for_params(sparse, lr=0.1, decay=0.01)
+        d_state = AdagradState.for_params(dense, lr=0.1, decay=0.01)
+        for g in self.batches(shape, axis, idx_shape, steps=4, seed=2):
+            assert g.rows.min() >= 0 and len(np.unique(g.rows)) == len(g.rows)
+            adagrad_step(s_state, sparse, {"w": g})
+            adagrad_step(d_state, dense, {"w": np.asarray(g)})
+        assert np.array_equal(sparse["w"], dense["w"])
+        assert np.array_equal(s_state.accum["w"], d_state.accum["w"])
+        assert s_state.step == d_state.step == 4
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sgd_matches_dense(self, case):
+        shape, axis, idx_shape = self.CASES[case]
+        start = np.random.default_rng(3).normal(size=shape)
+        sparse, dense = {"w": start.copy()}, {"w": start.copy()}
+        for g in self.batches(shape, axis, idx_shape, steps=4, seed=4):
+            sgd_step(sparse, {"w": g}, 0.05)
+            sgd_step(dense, {"w": np.asarray(g)}, 0.05)
+        assert np.array_equal(sparse["w"], dense["w"])
+
+    def test_shape_mismatch(self):
+        g = scatter_rows(np.ones((2, 3)), np.array([0, 1]), (4, 3))
+        with pytest.raises(ShapeError):
+            sgd_step({"w": np.zeros((5, 3))}, {"w": g}, 0.1)
 
 
 class TestLbfgs:

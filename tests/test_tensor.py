@@ -12,6 +12,7 @@ from sentclass.tensor import (
     make_rng,
     max_pool_time,
     relu,
+    scatter_rows,
     sigmoid,
     softmax,
     softmax_rows,
@@ -249,6 +250,47 @@ class TestGatherRows:
             if k >= 0:
                 onehot[b, t, k] = 1.0
         np.testing.assert_array_equal(gather_rows(w, idx), onehot @ w)
+
+    def test_inner_axis_of_a_bank(self):
+        bank = np.random.default_rng(42).normal(size=(4, 9, 3))
+        idx = np.array([[8, -1, 0, 8], [2, 2, -1, -1]])
+        got = gather_rows(bank, idx, axis=1)
+        assert got.shape == (2, 4, 4, 3)
+        for (b, t), k in np.ndenumerate(idx):
+            want = bank[:, k, :] if k >= 0 else np.zeros((4, 3))
+            np.testing.assert_array_equal(got[b, t], want)
+
+
+class TestScatterRows:
+    """The gradient of ``gather_rows``: row sums bit-for-bit those of a dense
+    ``np.add.at`` over the full table, padding dropped."""
+
+    @pytest.mark.parametrize("shape,axis", [((10, 3), 0), ((4, 10, 3), 1)])
+    def test_matches_dense_scatter_add(self, shape, axis):
+        rng = np.random.default_rng(43)
+        idx = np.array([[7, 1, -1, 7], [1, 7, 7, -1], [0, -1, -1, -1]])
+        rest = shape[:axis] + shape[axis + 1:]
+        values = rng.normal(size=(*idx.shape, *rest))
+        g = scatter_rows(values, idx, shape, axis)
+        dense = np.zeros((shape[axis] + 1, *rest))  # last row: the padding slot
+        np.add.at(dense, np.where(idx >= 0, idx, shape[axis]).reshape(-1),
+                  values.reshape(idx.size, *rest))
+        want = np.moveaxis(dense[:-1], 0, axis)
+        np.testing.assert_array_equal(g.rows, [0, 1, 7])
+        assert g.shape == shape and g.axis == axis
+        assert np.array_equal(np.asarray(g), want)
+        where = np.unravel_index(np.arange(want.size), shape)
+        assert np.array_equal(g[where], want[where])
+
+    def test_is_the_adjoint_of_gather(self):
+        # <gather(w), v> = <w, scatter(v)> for every w and v
+        rng = np.random.default_rng(44)
+        w = rng.normal(size=(12, 5))
+        idx = rng.integers(-1, 12, size=(6, 4))
+        v = rng.normal(size=(6, 4, 5))
+        lhs = float(np.sum(gather_rows(w, idx) * v))
+        rhs = float(np.sum(w * np.asarray(scatter_rows(v, idx, w.shape))))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestRng:

@@ -191,18 +191,17 @@ class TestTrainRunContracts:
         _, _, dx = cnn_batch_grads(params, tuner.gather_train(sel), ys,
                                    train=False, want_dx=True)
         grad = tuner.scatter_grad(sel, dx)
+        assert grad.shape == tuner.matrix.shape
+        assert grad.rows.min() >= 0  # padding has no row to update
         eps = 1e-6
-        for row, col in ((0, 1), (3, 2), (tuner.pad_row, 0)):
+        for row, col in ((0, 1), (3, 2)):
             tuner.matrix[row, col] += eps
             up = mean_loss()
             tuner.matrix[row, col] -= 2 * eps
             down = mean_loss()
             tuner.matrix[row, col] += eps
             numeric = (up - down) / (2 * eps)
-            if row == tuner.pad_row:
-                assert grad[row, col] == 0.0  # padding row stays pinned
-            else:
-                assert grad[row, col] == pytest.approx(numeric, abs=1e-6)
+            assert grad[row, col] == pytest.approx(numeric, abs=1e-6)
 
 
 class TestEvaluate:
@@ -249,11 +248,16 @@ class TestEvaluate:
 
 
 class TestHashedEncoder:
-    """Hashed one-hot rows, carried as indices and expanded by ``densify``."""
+    """Hashed one-hot rows, carried as indices (pad = -1)."""
 
     def rows(self, tokens, dim):
         encoder = HashedSequenceEncoder(dim, len(tokens))
-        return encoder.densify(encoder.encode_many(Dataset([(0, tokens)], ["a"])))[0]
+        idx = encoder.encode_many(Dataset([(0, tokens)], ["a"]))[0]
+        out = np.zeros((len(idx), dim))
+        for i, k in enumerate(idx):
+            if k >= 0:
+                out[i, k] = 1.0
+        return out
 
     def test_single_token_single_one(self):
         out = self.rows(["tok"], 16)
@@ -366,13 +370,41 @@ class TestCheckpoints:
         ({"arch": "fnn", "fields": [["w0", [4, 2]]]}, 8),
         ({"arch": "fnn", "fields": [["w0", [4, 2]], ["b0", [2]], ["w1", [2, 2]]]}, 14),
         ({"arch": "fnn", "fields": [["w0", [4, 2]], ["b0", [2]]], "hyper": [0.1]}, 10),
+        ({"arch": "fnn", "fields": [["w0", [4, 2]], ["b0", [2]]], "arrays": [["r", 2]]}, 12),
     ], ids=["no-fields", "fields-not-pairs", "tensor-missing", "tensor-extra",
-            "hyper-not-object"])
+            "hyper-not-object", "arrays-not-pairs"])
     def test_malformed_header_detected(self, tmp_path, header, floats):
         path = tmp_path / "model.ckpt"
         path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n"
                          + np.zeros(floats, dtype="<f8").tobytes())
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec,name,shape", [
+        (M.FnnSpec((6, 4, 3)), "w1", (5, 3)),
+        (M.CnnSpec(embed_dim=4, classes=3, n_filters=5, window=2, hidden=4), "w_fc", (6, 4)),
+        (M.RnnSpec(embed_dim=4, classes=3, hidden=4), "w_head", (5, 3)),
+        (M.LstmSpec(embed_dim=4, classes=3, hidden=5), "wx_o", (4, 6)),
+    ], ids=["fnn", "cnn", "rnn", "lstm"])
+    def test_disagreeing_tensor_shapes_detected(self, tmp_path, spec, name, shape):
+        params = M.init_params(spec, 0)
+        params = type(params).from_tensors({**params.tensors(), name: np.zeros(shape)})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {})
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
+
+    def test_array_metadata_round_trips_bit_exact(self, tmp_path):
+        params = M.init_params(M.FnnSpec((4, 2)), 0)
+        rows = np.random.default_rng(5).normal(size=(3, 4)) * 1e-300
+        rows[0, 0] = -0.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"labels": ["a", "b"], "rows": rows})
+        _, meta = load_checkpoint(path)
+        assert meta["labels"] == ["a", "b"]
+        assert meta["rows"].tobytes() == rows.tobytes()
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="truncated tensor 'rows'"):
             load_checkpoint(path)
 
     def test_truncated_tensor_detected(self, tmp_path):
