@@ -21,6 +21,7 @@ from ..embeddings import (
     load_binary_vectors,
     load_text_vectors,
 )
+from ..models import input_width
 from ..models.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ..text import EmptySentenceError, Vocabulary, tokenize
 from .data import (
@@ -186,19 +187,27 @@ _META_KEYS = {"glove": ("oov_policy", "seed"), "word2vec": ("oov_policy", "seed"
               "onehot": (), "counts": ("vocab",)}
 
 
-def _encoder_from_meta(meta: dict, embeddings_override=None):
+def _encoder_from_meta(meta: dict, params, embeddings_override=None):
+    """The encoder a checkpoint's metadata describes for the model ``params``."""
     encoding = meta.get("encoding")
     if encoding not in _META_KEYS:
         raise CheckpointError(f"checkpoint metadata names no known encoding: {encoding!r}")
     missing = [k for k in ("labels", "dim", "max_len", *_META_KEYS[encoding]) if k not in meta]
     if missing:
         raise CheckpointError(f"checkpoint metadata lacks {', '.join(missing)}")
+    width = input_width(params)
+    if not (isinstance(meta["dim"], int) and meta["dim"] == width):
+        raise CheckpointError(f"checkpoint metadata dim {meta['dim']!r} does not match "
+                              f"the model's input width {width}")
     if encoding in ("glove", "word2vec"):
         path = embeddings_override or meta.get("embeddings")
         if not path:
             raise ConfigError("checkpoint has no embeddings path; pass --embeddings")
         loader = load_text_vectors if encoding == "glove" else load_binary_vectors
         table = loader(path)
+        if table.dim != width:
+            raise CheckpointError(f"{path} holds {table.dim}-wide vectors; "
+                                  f"the model reads {width}")
         table.oov_policy = meta["oov_policy"]
         table.oov_seed = meta["seed"]
         encoder = DenseSequenceEncoder(table, meta["max_len"])
@@ -243,13 +252,15 @@ def _cmd_train(args) -> int:
     curve = _run_one(cfg, data, out_dir)
     print(f"best accuracy {curve.best_accuracy:.4f} "
           f"(final {curve.final_accuracy:.4f}) over {len(curve)} iterations")
+    if curve.stop_reason is not None:
+        print(f"L-BFGS stopped: {curve.stop_reason}")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
-    encoder = _encoder_from_meta(meta, args.embeddings)
+    encoder = _encoder_from_meta(meta, params, args.embeddings)
     loader = load_uiuc_file if args.format == "uiuc" else load_tsv
     reference = Dataset([], list(meta["labels"]))
     test_ds = align_labels(reference, loader(args.test_path))
@@ -259,7 +270,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
-    encoder = _encoder_from_meta(meta, args.embeddings)
+    encoder = _encoder_from_meta(meta, params, args.embeddings)
     labels = meta["labels"]
     while lines := list(itertools.islice(sys.stdin, _EVAL_CHUNK)):
         # lines before the first blank one are still labelled

@@ -185,7 +185,12 @@ class HashedSequenceEncoder:
 
 
 class CountEncoder:
-    """Whole sentence to a hashed unigram count vector (cutoff applied first)."""
+    """Whole sentence to hashed unigram counts (cutoff applied first).
+
+    ``encode`` gives one dense count vector; ``encode_many`` carries a batch
+    as index rows: each entry is the hashed slot of a kept token, a repeated
+    slot is a count, and -1 pads every row to the longest (at least 1).
+    """
 
     kind = "counts"
 
@@ -201,9 +206,17 @@ class CountEncoder:
         return count_vector(self.vocab.keep(tokens), self._dim)
 
     def encode_many(self, dataset: Dataset) -> np.ndarray:
-        out = np.zeros((len(dataset.examples), self._dim))
-        for i, (_, tokens) in enumerate(dataset.examples):
-            out[i] = self.encode(tokens)
+        slots: dict[str, int] = {}  # each kept token is hashed once per call
+        rows = []
+        for _, tokens in dataset.examples:
+            kept = [t for t in self.vocab.keep(tokens) if t != PAD_TOKEN]
+            for token in kept:
+                if token not in slots:
+                    slots[token] = hash_index(token, self._dim)
+            rows.append([slots[t] for t in kept])
+        out = np.full((len(rows), max([1, *map(len, rows)])), -1, dtype=np.int64)
+        for i, row in enumerate(rows):
+            out[i, :len(row)] = row
         return out
 
 
@@ -247,6 +260,9 @@ class CurvePoint:
 @dataclass
 class LearningCurve:
     points: list[CurvePoint] = field(default_factory=list)
+    # why L-BFGS stopped (an ``LbfgsResult.status``); None for minibatch
+    # runs and curves read back from a file, which does not store it
+    stop_reason: str | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -460,26 +476,35 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
 
 def _train_lbfgs(cfg, params, grads_fn, probs_fn, x_train, y_train, x_test, y_test,
                  curve, start):
+    """Full-batch L-BFGS over the rows of ``w0`` the training inputs touch
+    and every other tensor whole.
+
+    The objective has no penalty term, so the gradient of an untouched row
+    is identically zero; L-BFGS would keep it, and each direction and
+    curvature pair, at zero there, so those rows keep their initial values.
+    """
     tensors = params.tensors()
-    names = list(tensors)
-    shapes = [tensors[k].shape for k in names]
-    sizes = [int(np.prod(s)) for s in shapes]
+    touched = np.unique(x_train[x_train >= 0])
+    at = {name: touched if name == "w0" else slice(None) for name in tensors}
+    shapes = {name: tensors[name][at[name]].shape for name in tensors}
+    sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
 
     def pack(values: dict) -> np.ndarray:
-        return np.concatenate([values[k].ravel() for k in names])
+        return np.concatenate([values[k].ravel() for k in tensors])
 
     def unpack(vec: np.ndarray) -> None:
         offset = 0
-        for name, shape, size in zip(names, shapes, sizes):
-            tensors[name][...] = vec[offset:offset + size].reshape(shape)
-            offset += size
+        for name, tensor in tensors.items():
+            tensor[at[name]] = vec[offset:offset + sizes[name]].reshape(shapes[name])
+            offset += sizes[name]
 
     def objective(vec):
         unpack(vec)
         loss, grads = grads_fn(params, x_train, y_train, None)
         if not np.isfinite(loss):
             raise DivergedError(len(curve.points) + 1)
-        return loss, pack(grads)
+        assert np.array_equal(grads["w0"].rows, touched)
+        return loss, pack(dict(grads, w0=grads["w0"].values))
 
     def record(iteration, vec, loss, _gnorm):
         unpack(vec)
@@ -487,9 +512,11 @@ def _train_lbfgs(cfg, params, grads_fn, probs_fn, x_train, y_train, x_test, y_te
         curve.points.append(
             CurvePoint(iteration, loss, accuracy, time.perf_counter() - start))
 
-    result = lbfgs_minimize(objective, pack(tensors), m=cfg.lbfgs_memory,
+    x0 = pack({name: tensor[at[name]] for name, tensor in tensors.items()})
+    result = lbfgs_minimize(objective, x0, m=cfg.lbfgs_memory,
                             max_iter=cfg.epochs, tol=1e-10, callback=record)
     unpack(result.x)
+    curve.stop_reason = result.status
 
 
 def evaluate(params, test: Dataset, encoder) -> float:

@@ -73,8 +73,12 @@ class Family:
     losses, batch-mean gradients keyed like ``params.tensors()`` and, when
     ``want_dx`` is set, the input gradient.  ``hashed_probs``/``hashed_grads``
     take hashed one-hot inputs as index sequences (pad = -1) and return the
-    gradient of the weights those rows multiply as a ``tensor.RowGrad``; the
-    fnn, which takes count vectors only, has none.
+    gradient of the weights those rows multiply as a ``tensor.RowGrad``.
+    The fnn takes hashed counts only, carried as index rows (pad = -1, a
+    repeated index is a count), so its ``probs``/``grads`` are index kernels
+    of that kind: its ``w0`` gradient is a ``RowGrad`` and it has no input
+    gradient.  ``input_axis`` names the axis, in ``params.dims()``, that an
+    input row's width sizes.
     """
 
     params: type
@@ -87,11 +91,12 @@ class Family:
     backward: Callable
     hashed_probs: Callable | None = None
     hashed_grads: Callable | None = None
+    input_axis: str = "embed"
 
 
 FAMILIES = {
     "fnn": Family(FnnParams, FnnSpec, FnnTrace, init_fnn, fnn_batch_probs,
-                  fnn_batch_loss_grads, fnn_forward, fnn_backward),
+                  fnn_batch_loss_grads, fnn_forward, fnn_backward, input_axis="width 0"),
     "cnn": Family(CnnParams, CnnSpec, CnnTrace, init_cnn, cnn_batch_probs,
                   cnn_batch_grads, cnn_forward, cnn_backward,
                   cnn_batch_probs_hashed, cnn_batch_grads_hashed),
@@ -116,6 +121,14 @@ def init_params(spec, seed) -> ModelParams:
     return _family(spec).init(**asdict(spec), seed=seed)
 
 
+def input_width(params: ModelParams) -> int:
+    """Width of the input rows ``params`` read (one-hot, count or embedding)."""
+    axis = _family(params).input_axis
+    tensors = params.tensors()
+    return next(tensors[name].shape[axes.index(axis)]
+                for name, axes in params.dims().items() if axis in axes)
+
+
 def forward(params: ModelParams, x, train: bool = False,
             rng: np.random.Generator | None = None):
     """Per-example reference: class distribution plus the trace ``backward`` needs."""
@@ -137,7 +150,7 @@ __all__ = [
     "FnnParams", "CnnParams", "RnnParams", "LstmParams",
     "FnnSpec", "CnnSpec", "RnnSpec", "LstmSpec",
     "FnnTrace", "CnnTrace", "RnnTrace", "LstmTrace",
-    "init_params", "forward", "backward",
+    "init_params", "input_width", "forward", "backward",
     "init_fnn", "init_cnn", "init_rnn", "init_lstm",
     "fnn_forward", "cnn_forward", "rnn_forward", "lstm_forward",
     "fnn_backward", "cnn_backward", "rnn_backward", "lstm_backward",

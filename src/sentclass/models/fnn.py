@@ -5,7 +5,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import ShapeError, sigmoid, softmax, softmax_rows
+from ..tensor import RowGrad, ShapeError, _distinct, sigmoid, softmax, softmax_rows
 from .head import head_grads
 
 
@@ -112,11 +112,23 @@ def fnn_backward(params: FnnParams, trace: FnnTrace, label: int) -> dict[str, np
     return grads
 
 
+def _count_block(params: FnnParams, xs):
+    """The batch's distinct hashed columns (pad = -1 excluded), its (B, k)
+    block of counts over them, and the weights with ``w0`` cut to those
+    rows: ``block @ weights[0]`` is the batch's count matrix times ``w0``."""
+    rows, slots, pad = _distinct(xs)
+    flat = (np.arange(len(xs))[:, None] * rows.size + slots).reshape(-1)
+    counts = np.bincount(flat, minlength=len(xs) * rows.size)
+    block = counts.reshape(len(xs), rows.size)[:, pad:].astype(np.float64)
+    return rows[pad:], block, [params.weights[0][rows[pad:]], *params.weights[1:]]
+
+
 def fnn_batch_probs(params: FnnParams, xs: np.ndarray) -> np.ndarray:
-    """Forward pass over a whole design matrix (rows are examples)."""
-    a = xs
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    """Forward pass over a batch of hashed count rows, carried as indices
+    (pad = -1; a repeated index is a count)."""
+    _, a, weights = _count_block(params, xs)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, params.biases)):
         z = a @ w + b
         a = softmax_rows(z) if i == last else sigmoid(z)
     return a
@@ -125,28 +137,32 @@ def fnn_batch_probs(params: FnnParams, xs: np.ndarray) -> np.ndarray:
 def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
                          train: bool = True, rng: np.random.Generator | None = None,
                          want_dx: bool = False):
-    """Per-example losses and batch-mean gradients over a design matrix.
+    """Per-example losses and batch-mean gradients over a batch of hashed
+    count rows, carried as indices like ``fnn_batch_probs`` takes them.
 
-    Matches averaging ``fnn_backward`` over the rows; serves full-batch
-    objectives and minibatch steps alike.  The FNN has no dropout, so
-    ``train`` and ``rng`` change nothing; they keep the calling convention
-    of the other families.  With ``want_dx`` also returns the gradient with
-    respect to the input rows.
+    Matches averaging ``fnn_backward`` over the rows' count vectors; serves
+    full-batch objectives and minibatch steps alike.  The first layer reads
+    only the rows of ``w0`` the batch touches, and its gradient is a
+    ``RowGrad`` over them.  The FNN has no dropout, so ``train`` and ``rng``
+    change nothing; they keep the calling convention of the other families.
+    Index inputs have no input gradient: ``want_dx`` raises ``ValueError``.
     """
-    activations = [xs]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    if want_dx:
+        raise ValueError("hashed count inputs are indices and have no input gradient")
+    rows, block, weights = _count_block(params, xs)
+    activations = [block]
+    for w, b in zip(weights[:-1], params.biases[:-1]):
         activations.append(sigmoid(activations[-1] @ w + b))
-    last = len(params.weights) - 1
+    last = len(weights) - 1
     grads: dict[str, np.ndarray] = {}
     losses, grads[f"w{last}"], grads[f"b{last}"], da = head_grads(
-        activations[-1], params.weights[last], params.biases[last], labels)
+        activations[-1], weights[last], params.biases[last], labels)
     for i in reversed(range(last)):
         a = activations[i + 1]
         dz = da * a * (1.0 - a)  # logistic derivative
         grads[f"w{i}"] = activations[i].T @ dz
         grads[f"b{i}"] = dz.sum(axis=0)
-        if i > 0 or want_dx:  # the input gradient costs a full-width product
-            da = dz @ params.weights[i].T
-    if want_dx:
-        return losses, grads, da
+        if i > 0:
+            da = dz @ weights[i].T
+    grads["w0"] = RowGrad(rows, grads["w0"], 0, params.weights[0].shape)
     return losses, grads

@@ -2,8 +2,9 @@
 
 The trainer touches only the batched code; these tests pin its semantics
 (losses, mean gradients, probabilities, shared dropout stream) to the
-per-example forward/backward functions, and the hashed one-hot fast path
-to the dense one-hot path.
+per-example forward/backward functions, the hashed one-hot fast path
+to the dense one-hot path, and the FNN's index-carried counts to dense
+count vectors.
 """
 
 import numpy as np
@@ -21,8 +22,11 @@ from sentclass.models.lstm import (lstm_batch_grads, lstm_batch_grads_hashed, ls
                                    lstm_batch_probs_hashed)
 from sentclass.models.rnn import (rnn_batch_grads, rnn_batch_grads_hashed, rnn_batch_probs,
                                   rnn_batch_probs_hashed)
+from sentclass.harness.data import Dataset
+from sentclass.harness.run import CountEncoder
 from sentclass.optim import cross_entropy, grad_check
-from sentclass.tensor import make_rng
+from sentclass.tensor import RowGrad, make_rng
+from sentclass.text import build_vocabulary, count_vector
 
 
 def mean_reference_grads(params, xs, labels, train=False, rng=None):
@@ -65,36 +69,62 @@ def random_indices(rng, batch, n, dim, min_len=1):
 
 
 class TestFnnBatch:
+    """Index-carried count rows against per-example passes on ``count_vector`` rows."""
+
+    DIM = 16
+
     def setup_method(self):
-        self.params = M.init_params(M.FnnSpec((6, 5, 3)), 0)
-        rng = np.random.default_rng(1)
-        self.xs = rng.normal(size=(7, 6))
-        self.labels = rng.integers(0, 3, size=7)
+        self.params = M.init_params(M.FnnSpec((self.DIM, 5, 3)), 0)
+        sentences = [["cue0", "cue0", "pad1", "pad2"], ["cue1", "pad1", "cue1", "cue1"],
+                     ["rare"], ["pad2", "pad1", "cue0"], ["cue1", "pad2"],
+                     ["once", "twice"], ["cue0", "pad1", "pad1", "pad1", "cue1"]]
+        vocab = build_vocabulary(sentences, min_count=2)  # cuts rare, once, twice
+        data = Dataset([(0, tokens) for tokens in sentences], ["a"])
+        self.idx = CountEncoder(vocab, self.DIM).encode_many(data)
+        self.xs = np.array([count_vector(vocab.keep(tokens), self.DIM) for tokens in sentences])
+        self.labels = np.random.default_rng(1).integers(0, 3, size=len(sentences))
+        assert np.all(self.idx[2] == -1) and np.all(self.idx[5] == -1)  # all-pad rows
+        assert self.xs.max() == 3.0  # repeated tokens count
+
+    def batches(self):
+        """B=1 (an all-pad row among them) and the whole batch."""
+        return [[0], [2], [6], list(range(len(self.labels)))]
 
     def test_probs_match_per_example(self):
-        batch = fnn_batch_probs(self.params, self.xs)
-        for i, x in enumerate(self.xs):
-            probs, _ = M.fnn_forward(self.params, x)
-            np.testing.assert_allclose(batch[i], probs, atol=1e-12)
+        for params in (self.params, M.init_params(M.FnnSpec((self.DIM, 3)), 2)):
+            for sel in self.batches():
+                batch = fnn_batch_probs(params, self.idx[sel])
+                for row, i in zip(batch, sel):
+                    probs, _ = M.fnn_forward(params, self.xs[i])
+                    np.testing.assert_allclose(row, probs, atol=1e-12)
 
     def test_loss_and_grads_match_mean(self):
-        losses, want = mean_reference_grads(self.params, self.xs, self.labels)
-        got_losses, got = fnn_batch_loss_grads(self.params, self.xs, self.labels)
-        np.testing.assert_allclose(got_losses, losses, atol=1e-12)
-        assert_grads_close(got, want)
+        for params in (self.params, M.init_params(M.FnnSpec((self.DIM, 3)), 2)):
+            for sel in self.batches():
+                losses, want = mean_reference_grads(params, self.xs[sel], self.labels[sel])
+                got_losses, got = fnn_batch_loss_grads(params, self.idx[sel], self.labels[sel])
+                assert isinstance(got["w0"], RowGrad)
+                np.testing.assert_array_equal(got["w0"].rows,
+                                              np.unique(self.idx[sel][self.idx[sel] >= 0]))
+                np.testing.assert_allclose(got_losses, losses, atol=1e-12)
+                assert_grads_close(got, want)
 
-    def test_input_gradient_by_finite_differences(self):
-        _, _, dx = fnn_batch_loss_grads(self.params, self.xs, self.labels, want_dx=True)
-        eps = 1e-6
-        xs = self.xs.copy()
-        for b, j in ((0, 1), (3, 5), (6, 0)):
-            xs[b, j] += eps
-            up, _ = fnn_batch_loss_grads(self.params, xs, self.labels)
-            xs[b, j] -= 2 * eps
-            down, _ = fnn_batch_loss_grads(self.params, xs, self.labels)
-            xs[b, j] += eps
-            numeric = (up.sum() - down.sum()) / (2 * eps) / len(self.labels)
-            assert dx[b, j] == pytest.approx(numeric, abs=1e-6)
+    def test_input_gradient_is_refused(self):
+        with pytest.raises(ValueError, match="input gradient"):
+            fnn_batch_loss_grads(self.params, self.idx, self.labels, want_dx=True)
+
+    def test_weight_gradients_by_finite_differences(self):
+        # criterion 1's bound, through the index route
+        tensors = self.params.tensors()
+
+        def loss_fn():
+            return float(fnn_batch_loss_grads(self.params, self.idx, self.labels)[0].mean())
+
+        def grad_fn():
+            _, grads = fnn_batch_loss_grads(self.params, self.idx, self.labels)
+            return {name: np.asarray(g) for name, g in grads.items()}
+
+        assert grad_check(loss_fn, grad_fn, tensors, eps=1e-5, max_coords=10_000) < 1e-4
 
 
 class TestCnnBatch:

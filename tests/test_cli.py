@@ -56,6 +56,15 @@ class TestTrainCommand:
         assert main(args) == 0
         assert "epochs=2" in (out_dir / "config.txt").read_text()
 
+    def test_lbfgs_stop_reason_printed(self, corpus_file, tmp_path, capsys):
+        args = ["train", "--arch", "fnn", "--encoding", "counts", "--dim", "64",
+                "--optimizer", "lbfgs", "--epochs", "3", "--format", "tsv",
+                "--train", str(corpus_file), "--out", str(tmp_path / "fnn")]
+        assert main(args) == 0
+        assert "L-BFGS stopped: max_iterations" in capsys.readouterr().out.splitlines()
+        assert main(train_args(corpus_file, tmp_path / "cnn")) == 0
+        assert "L-BFGS" not in capsys.readouterr().out
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--arch", "nonsense"]) == 1
 
@@ -193,6 +202,38 @@ class TestEvalAndPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
         assert main(["predict", "--checkpoint", str(path)]) == 2
         assert "w_head" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        M.FnnSpec((32, 4, 2)),
+        M.CnnSpec(embed_dim=32, classes=2, n_filters=4, window=2, hidden=3),
+        M.RnnSpec(embed_dim=32, classes=2, hidden=4),
+        M.LstmSpec(embed_dim=32, classes=2, hidden=4),
+    ], ids=["fnn", "cnn", "rnn", "lstm"])
+    def test_encoder_width_disagreeing_with_model_is_data_error(self, tmp_path, monkeypatch,
+                                                                capsys, spec):
+        path = tmp_path / "checkpoint.bin"
+        meta = {"labels": ["alpha", "beta"], "dim": 16, "max_len": 6}
+        if spec.arch == "fnn":
+            meta.update(encoding="counts", vocab=[["cue0", 2], ["pad1", 2]], min_count=2)
+        else:
+            meta.update(encoding="onehot")
+        save_checkpoint(path, M.init_params(spec, 0), meta)
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
+        assert main(["predict", "--checkpoint", str(path)]) == 2
+        assert "input width 32" in capsys.readouterr().err
+
+    def test_vectors_narrower_than_the_model_are_data_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        vectors = tmp_path / "vectors.txt"
+        write_embeddings_file(vectors, ["cue0", "pad1"], dim=4, seed=0)
+        path = tmp_path / "checkpoint.bin"
+        meta = {"labels": ["alpha", "beta"], "encoding": "glove", "dim": 8, "max_len": 6,
+                "oov_policy": "zero", "seed": 1}
+        save_checkpoint(path, M.init_params(M.RnnSpec(embed_dim=8, classes=2, hidden=4), 0),
+                        meta)
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
+        assert main(["predict", "--checkpoint", str(path), "--embeddings", str(vectors)]) == 2
+        assert "4-wide" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["encoding", "labels", "dim", "max_len"])
     def test_metadata_without_key_is_data_error(self, tmp_path, monkeypatch, key):

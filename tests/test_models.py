@@ -320,8 +320,9 @@ class TestPredict:
 
     def test_uniform_output_ties_to_class_zero(self):
         params = M.FnnParams(weights=[np.zeros((3, 4))], biases=[np.zeros(4)])
-        # rows arrive encoded; the encoder only names their carrier
-        assert list(predict(params, np.ones((2, 3)), CountEncoder(None, 3))) == [0, 0]
+        # rows arrive encoded as hashed count indices; the encoder only names their carrier
+        idx = np.array([[0, 1, 2], [2, 2, -1]])
+        assert list(predict(params, idx, CountEncoder(None, 3))) == [0, 0]
 
     def test_argmax_of_probs(self):
         rng = np.random.default_rng(8)
@@ -335,9 +336,9 @@ class TestPredict:
     def test_invariant_under_monotone_logit_transform(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(4, 3))
-        x = rng.normal(size=4)
-        logits = x @ w
-        base = predict(M.FnnParams([w], [np.zeros(3)]), x[None, :], CountEncoder(None, 4))[0]
+        idx = np.array([[3, 0, 3, 1, -1]])
+        logits = np.array([1.0, 1.0, 0.0, 2.0]) @ w  # the counts of idx
+        base = predict(M.FnnParams([w], [np.zeros(3)]), idx, CountEncoder(None, 4))[0]
         for transform in (lambda z: 2.0 * z + 1.0, np.exp, lambda z: z ** 3):
             shifted = transform(logits)
             e = np.exp(shifted - shifted.max())

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sentclass.models as M
 from sentclass.harness.data import Dataset
@@ -12,6 +14,7 @@ from sentclass.harness.run import (
     ARCHS,
     ENCODINGS,
     ConfigError,
+    CountEncoder,
     CurvePoint,
     HashedSequenceEncoder,
     LearningCurve,
@@ -25,6 +28,7 @@ from sentclass.harness.run import (
     parse_config_text,
     predict,
     train_run,
+    _arch_spec,
 )
 from sentclass.harness.synth import corpus_tokens, write_embeddings_file
 from sentclass.models.checkpoint import (
@@ -33,7 +37,8 @@ from sentclass.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sentclass.text import PAD_TOKEN, hash_index, pad_or_truncate
+from sentclass.optim import cross_entropy, lbfgs_minimize
+from sentclass.text import PAD_TOKEN, build_vocabulary, count_vector, hash_index, pad_or_truncate
 
 VALID_PAIRS = [(arch, encoding) for arch in ARCHS for encoding in ENCODINGS
                if (arch == "fnn") == (encoding == "counts")]
@@ -276,6 +281,84 @@ class TestHashedEncoder:
                        if hash_index(f"tok{i}", 2) == hash_index(base, 2))
         out = self.rows([base, partner], 2)
         np.testing.assert_array_equal(out[0], out[1])
+
+
+class TestCountEncoder:
+    """Hashed counts carried as index rows: -1 pads, a repeated index counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentences=st.lists(st.lists(st.one_of(st.sampled_from(["a", "b", "c", PAD_TOKEN]),
+                                                 st.text(alphabet="abcxyz_", min_size=1,
+                                                         max_size=3)),
+                                       max_size=8), min_size=1, max_size=6),
+           dim=st.integers(2, 64), min_count=st.integers(1, 4))
+    @example(sentences=[["a", "a", "b"], ["b", "once", "twice"], ["once"]], dim=8, min_count=2)
+    @example(sentences=[["once", "twice"], ["thrice"], []], dim=8, min_count=2)
+    def test_bincount_of_a_row_is_its_count_vector(self, sentences, dim, min_count):
+        vocab = build_vocabulary(sentences, min_count)
+        idx = CountEncoder(vocab, dim).encode_many(Dataset([(0, t) for t in sentences], ["a"]))
+        kept = [vocab.keep(tokens) for tokens in sentences]
+        assert idx.dtype == np.int64
+        assert idx.shape == (len(sentences),
+                             max([1, *(sum(t != PAD_TOKEN for t in k) for k in kept)]))
+        for row, tokens in zip(idx, kept):
+            real = row[row >= 0]
+            assert np.all(row[len(real):] == -1)  # padding only at the tail
+            np.testing.assert_array_equal(np.bincount(real, minlength=dim),
+                                          count_vector(tokens, dim))
+
+
+class TestLbfgsTouchedRows:
+    def test_untouched_rows_stay_and_the_rest_matches_full_vector_lbfgs(self):
+        # every fourth label redrawn: the loss has a finite minimum, so the
+        # weights stay moderate and the two runs' rounding does not blow up
+        rng = np.random.default_rng(3)
+        clean = tiny_dataset(24, classes=3, seed=5)
+        data = Dataset([(int(rng.integers(3)) if i % 4 == 0 else label, tokens)
+                        for i, (label, tokens) in enumerate(clean.examples)], clean.labels)
+        cfg = RunConfig(arch="fnn", encoding="counts", dim=64, hidden=5, epochs=8,
+                        optimizer="lbfgs", seed=6)
+        encoder = build_encoder(cfg, data)
+        spec = _arch_spec(cfg, cfg.dim, len(data.labels))
+        initial = M.init_params(spec, np.random.SeedSequence(cfg.seed).spawn(3)[0])
+        params, curve = train_run(cfg, data, data, encoder=encoder)
+        assert curve.stop_reason == "max_iterations"
+
+        xs = np.array([encoder.encode(tokens) for _, tokens in data.examples])
+        ys = np.array([label for label, _ in data.examples])
+        untouched = np.flatnonzero(xs.sum(axis=0) == 0)
+        assert 0 < untouched.size < cfg.dim
+        np.testing.assert_array_equal(params.weights[0][untouched],
+                                      initial.weights[0][untouched])
+
+        # full-vector L-BFGS from the same start, on an objective built from
+        # dense per-example passes
+        oracle = initial
+        tensors = oracle.tensors()
+
+        def unpack(vec):
+            offset = 0
+            for tensor in tensors.values():
+                tensor[...] = vec[offset:offset + tensor.size].reshape(tensor.shape)
+                offset += tensor.size
+
+        def objective(vec):
+            unpack(vec)
+            loss, total = 0.0, {k: np.zeros_like(t) for k, t in tensors.items()}
+            for x, y in zip(xs, ys):
+                probs, trace = M.forward(oracle, x)
+                loss += cross_entropy(probs, int(y))
+                for k, g in M.backward(oracle, trace, int(y)).items():
+                    total[k] += g
+            return loss / len(ys), np.concatenate([total[k].ravel() / len(ys) for k in tensors])
+
+        start = np.concatenate([t.ravel() for t in tensors.values()])
+        result = lbfgs_minimize(objective, start, m=cfg.lbfgs_memory, max_iter=cfg.epochs,
+                                tol=1e-10)
+        unpack(result.x)
+        assert result.status == curve.stop_reason
+        for name, tensor in params.tensors().items():
+            np.testing.assert_allclose(tensor, tensors[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 class TestCurveFiles:
