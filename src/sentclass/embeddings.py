@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .text import PAD_TOKEN, murmur3_32
+from .text import PAD_TOKEN, murmur3_32, undecodable
 
 OOV_ZERO = "zero"
 OOV_RANDOM = "random-fixed"
@@ -81,13 +81,15 @@ def load_text_vectors(path, expect_dim: int | None = None) -> EmbeddingTable:
     """Parse a text-format vector file; dimension is inferred from the first line.
 
     Duplicate tokens keep their first occurrence.  Raises
-    EmbeddingFormatError with the offending line number on ragged rows or
-    unreadable floats.
+    EmbeddingFormatError with the offending line number on ragged rows,
+    bytes that are not UTF-8, and unreadable or non-finite floats.
     """
     entries: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if undecodable(line):
+                raise EmbeddingFormatError(f"{path}: line {lineno}: not valid UTF-8")
             parts = line.split()
             if not parts:
                 raise EmbeddingFormatError(f"{path}: malformed line {lineno}: empty line")
@@ -113,6 +115,8 @@ def load_text_vectors(path, expect_dim: int | None = None) -> EmbeddingTable:
                 raise EmbeddingFormatError(
                     f"{path}: parse error at line {lineno}: unreadable float"
                 ) from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite component")
             entries.setdefault(token, vec)
     if dim is None:
         raise EmbeddingFormatError(f"{path}: empty vector file")
@@ -120,7 +124,11 @@ def load_text_vectors(path, expect_dim: int | None = None) -> EmbeddingTable:
 
 
 def load_binary_vectors(path) -> EmbeddingTable:
-    """Parse a binary-format vector file (header plus float32 records)."""
+    """Parse a binary-format vector file (header plus float32 records).
+
+    Raises EmbeddingFormatError naming the record on a truncated record, a
+    token that is not UTF-8 or a non-finite component.
+    """
     with open(path, "rb") as fh:
         header = fh.readline()
         parts = header.split()
@@ -162,6 +170,8 @@ def load_binary_vectors(path) -> EmbeddingTable:
                     f"{path}: record {record}: token is not valid UTF-8"
                 ) from None
             vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}: record {record}: non-finite component")
             entries.setdefault(token, vec)
     return EmbeddingTable(dim=dim, entries=entries)
 

@@ -23,7 +23,7 @@ from ..embeddings import (
 )
 from ..models import input_width
 from ..models.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from ..text import EmptySentenceError, Vocabulary, tokenize
+from ..text import EmptySentenceError, Vocabulary, tokenize, undecodable
 from .data import (
     DataFormatError,
     Dataset,
@@ -272,21 +272,29 @@ def _cmd_predict(args) -> int:
     params, meta = load_checkpoint(args.checkpoint)
     encoder = _encoder_from_meta(meta, params, args.embeddings)
     labels = meta["labels"]
-    while lines := list(itertools.islice(sys.stdin, _EVAL_CHUNK)):
-        # lines before the first blank one are still labelled
-        blank = next((i for i, line in enumerate(lines) if not line.strip()), len(lines))
-        chunk = Dataset([(0, tokenize(line)) for line in lines[:blank]], labels)
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")  # bad bytes reach the line check
+    numbered = enumerate(sys.stdin, start=1)
+    while lines := list(itertools.islice(numbered, _EVAL_CHUNK)):
+        # lines before the first blank or undecodable one are still labelled
+        stop = next((i for i, (_, line) in enumerate(lines)
+                     if not line.strip() or undecodable(line)), len(lines))
+        chunk = Dataset([(0, tokenize(line)) for _, line in lines[:stop]], labels)
         for index in predict(params, encoder.encode_many(chunk), encoder):
             print(labels[index])
-        if blank < len(lines):
-            raise DataFormatError("blank input line cannot be classified")
+        if stop < len(lines):
+            lineno, line = lines[stop]
+            problem = "not valid UTF-8" if line.strip() else "blank line cannot be classified"
+            raise DataFormatError(f"stdin: line {lineno}: {problem}")
     return EXIT_OK
 
 
 def _parse_grid(path, base: dict) -> list[tuple[str, dict]]:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if undecodable(raw):
+                raise ConfigError(f"{path}: line {lineno}: not valid UTF-8")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

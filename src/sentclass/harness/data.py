@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..text import tokenize
+from ..text import tokenize, undecodable
 
 log = logging.getLogger(__name__)
 
@@ -106,8 +106,10 @@ def load_tsv(path) -> Dataset:
     labels: list[str] = []
     index: dict[str, int] = {}
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if undecodable(raw):
+                raise DataFormatError(f"{path}: line {lineno}: not valid UTF-8")
             line = raw.rstrip("\n")
             if not line:
                 continue

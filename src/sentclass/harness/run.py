@@ -19,7 +19,7 @@ from ..embeddings import (
     lookup_matrix,
 )
 from ..optim import AdagradState, adagrad_step, lbfgs_minimize, sgd_step
-from ..tensor import RowGrad, gather_rows, scatter_rows
+from ..tensor import gather_rows, scatter_rows
 from ..text import (
     PAD_TOKEN,
     Vocabulary,
@@ -27,6 +27,7 @@ from ..text import (
     count_vector,
     hash_index,
     pad_or_truncate,
+    undecodable,
 )
 from .data import Dataset, align_labels
 
@@ -124,13 +125,19 @@ class RunConfig:
 
 
 class DenseSequenceEncoder:
-    """Padded token sequence to a (max_len, d) embedding matrix."""
+    """Padded token sequence to index rows (pad = -1) into the embedding
+    ``matrix`` it owns.  ``encode_many`` looks each distinct token up once,
+    the first time it meets it, and appends its vector (loaded, or the OOV
+    policy's) to ``matrix``; ``encode`` is the per-example oracle.
+    Fine-tuning trains ``matrix`` in place."""
 
-    kind = "dense"
+    kind = "embedding"
 
     def __init__(self, table, max_len: int):
         self.table = table
         self.max_len = max_len
+        self.row: dict[str, int] = {}    # token to its row of ``matrix``, in row order
+        self.matrix = np.zeros((0, table.dim))
         self.tuned = None  # (tokens, rows) once fine-tuned rows replaced their vectors
 
     @property
@@ -138,22 +145,31 @@ class DenseSequenceEncoder:
         return self.table.dim
 
     def tune(self, tokens, rows) -> None:
-        """Replace the vectors of ``tokens`` by the fine-tuned ``rows``."""
+        """Replace the vectors and ``matrix`` rows of ``tokens`` by the tuned ``rows``."""
         rows = np.array(rows, dtype=np.float64)
         for token, row in zip(tokens, rows):
             self.table.entries[token] = row
+            if token in self.row:
+                self.matrix[self.row[token]] = row
         self.tuned = (list(tokens), rows)
 
-    def pad(self, tokens):
-        return pad_or_truncate(tokens, self.max_len)
-
     def encode(self, tokens) -> np.ndarray:
-        return lookup_matrix(self.table, self.pad(tokens))
+        return lookup_matrix(self.table, pad_or_truncate(tokens, self.max_len))
 
     def encode_many(self, dataset: Dataset) -> np.ndarray:
-        out = np.zeros((len(dataset.examples), self.max_len, self.dim))
+        out = np.full((len(dataset.examples), self.max_len), -1, dtype=np.int64)
+        new = []
         for i, (_, tokens) in enumerate(dataset.examples):
-            out[i] = self.encode(tokens)
+            for j, token in enumerate(tokens[:self.max_len]):
+                if token == PAD_TOKEN:
+                    continue
+                k = self.row.get(token)
+                if k is None:
+                    k = self.row[token] = len(self.row)
+                    new.append(self.table.vector(token))
+                out[i, j] = k
+        if new:
+            self.matrix = np.vstack([self.matrix, *new])
         return out
 
 
@@ -321,20 +337,41 @@ def _batch_functions(cfg, encoder):
     """(grads_fn, probs_fn) for ``cfg.arch`` on the encoder's input carrier.
 
     ``cfg`` is a RunConfig or a parameter set; both carry the arch tag.
-    ``grads_fn(params, xs, ys, rng, want_dx=False)`` returns the mean
-    training loss, the batch-mean gradients and, when asked, the input
-    gradient; ``probs_fn(params, xs)`` returns eval-mode class
-    distributions.  Hashed index batches go to the family's index kernels.
+    ``grads_fn(params, xs, ys, rng)`` returns the mean training loss and the
+    batch-mean gradients; ``probs_fn(params, xs)`` returns eval-mode class
+    distributions.  Every carrier is index rows (pad = -1).  Hashed one-hot
+    and count rows go to the family's index kernels.  Embedding rows gather
+    ``encoder.matrix`` (read at each call) for the dense kernels; with
+    ``cfg.fine_tune`` the matrix is one more tensor, ``embeddings``, whose
+    ``RowGrad`` scatters the input gradient the kernels give for ``want_dx``.
     """
     family = models.FAMILIES[cfg.arch]
     batch_grads, batch_probs = family.grads, family.probs
     if encoder.kind == "hashed":
         batch_grads, batch_probs = family.hashed_grads, family.hashed_probs
+    elif encoder.kind == "embedding":
+        fine_tune = getattr(cfg, "fine_tune", False)
 
-    def grads_fn(params, xs, ys, rng, want_dx=False):
-        losses, *rest = batch_grads(params, xs, ys, train=True, rng=rng, want_dx=want_dx)
-        return (float(losses.mean()), *rest)
+        def batch_probs(params, idx):
+            return family.probs(params, _embedding_rows(encoder.matrix, idx))
+
+        def batch_grads(params, idx, ys, train, rng):
+            losses, grads, *dx = family.grads(params, _embedding_rows(encoder.matrix, idx), ys,
+                                              train=train, rng=rng, want_dx=fine_tune)
+            if fine_tune:  # dx already carries the mean-loss scale, like the param grads
+                grads = dict(grads, embeddings=scatter_rows(dx[0], idx, encoder.matrix.shape))
+            return losses, grads
+
+    def grads_fn(params, xs, ys, rng):
+        losses, grads = batch_grads(params, xs, ys, train=True, rng=rng)
+        return float(losses.mean()), grads
     return grads_fn, batch_probs
+
+
+def _embedding_rows(matrix, idx):
+    """``gather_rows(matrix, idx)``, also while ``matrix`` has no rows: all of
+    ``idx`` is pad then, and gather_rows needs a row to read for pad."""
+    return gather_rows(matrix if len(matrix) else np.zeros((1, matrix.shape[1])), idx)
 
 
 def _classes(probs_fn, params, xs) -> np.ndarray:
@@ -348,52 +385,6 @@ def _classes(probs_fn, params, xs) -> np.ndarray:
 
 def _accuracy(probs_fn, params, x_test, y_test) -> float:
     return int((_classes(probs_fn, params, x_test) == y_test).sum()) / len(y_test)
-
-
-class _FineTuner:
-    """Trainable copy of the embedding rows used by the training set.
-
-    Sequences become row indices into a matrix whose rows join the
-    optimizer state; padding, and test tokens the training set lacks, are
-    -1.  After training the tuned rows go back to the encoder.
-    """
-
-    def __init__(self, encoder: DenseSequenceEncoder, train: Dataset, test: Dataset):
-        self.encoder = encoder
-        self.tokens = sorted({t for _, tokens in train.examples
-                              for t in encoder.pad(tokens) if t != PAD_TOKEN})
-        self.row = {t: i for i, t in enumerate(self.tokens)}
-        self.matrix = np.zeros((len(self.tokens), encoder.dim))
-        for token, i in self.row.items():
-            self.matrix[i] = encoder.table.vector(token)
-        self.train_idx = self._index_many(train)
-        self.test_idx = self._index_many(test)
-        # rows for test tokens the tuner never sees stay static
-        self.test_static = np.zeros((len(test.examples), encoder.max_len, encoder.dim))
-        for i, (_, tokens) in enumerate(test.examples):
-            for j, token in enumerate(self.encoder.pad(tokens)):
-                if token != PAD_TOKEN and token not in self.row:
-                    self.test_static[i, j] = self.encoder.table.vector(token)
-
-    def _index_many(self, dataset: Dataset) -> np.ndarray:
-        out = np.full((len(dataset.examples), self.encoder.max_len), -1, dtype=np.int64)
-        for i, (_, tokens) in enumerate(dataset.examples):
-            for j, token in enumerate(self.encoder.pad(tokens)):
-                out[i, j] = self.row.get(token, -1)
-        return out
-
-    def gather_train(self, sel: np.ndarray) -> np.ndarray:
-        return gather_rows(self.matrix, self.train_idx[sel])
-
-    def test_inputs(self) -> np.ndarray:
-        idx = self.test_idx
-        return np.where((idx >= 0)[:, :, None], gather_rows(self.matrix, idx), self.test_static)
-
-    def scatter_grad(self, sel: np.ndarray, dx: np.ndarray) -> RowGrad:
-        return scatter_rows(dx, self.train_idx[sel], self.matrix.shape)
-
-    def write_back(self) -> None:
-        self.encoder.tune(self.tokens, self.matrix)
 
 
 def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
@@ -416,25 +407,20 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     params = models.init_params(_arch_spec(cfg, encoder.dim, classes), init_seq)
     y_train = np.array([label for label, _ in train.examples], dtype=np.int64)
     y_test = np.array([label for label, _ in test.examples], dtype=np.int64)
+    # both splits are encoded before any optimizer state exists, so a
+    # fine-tuned embedding matrix is not reallocated while it trains
+    x_train = encoder.encode_many(train)
+    x_test = encoder.encode_many(test)
     grads_fn, probs_fn = _batch_functions(cfg, encoder)
     curve = LearningCurve()
     start = time.perf_counter()
     if cfg.optimizer == "lbfgs":
-        x_train = encoder.encode_many(train)
-        x_test = encoder.encode_many(test)
         _train_lbfgs(cfg, params, grads_fn, probs_fn, x_train, y_train, x_test, y_test,
                      curve, start)
         return params, curve
-    tuner = None
-    if cfg.fine_tune:
-        tuner = _FineTuner(encoder, train, test)
-        x_train, x_test = None, None
-    else:
-        x_train = encoder.encode_many(train)
-        x_test = encoder.encode_many(test)
     tensors = params.tensors()
-    if tuner is not None:
-        tensors = dict(tensors, embeddings=tuner.matrix)
+    if cfg.fine_tune:
+        tensors = dict(tensors, embeddings=encoder.matrix)
     state = None
     if cfg.optimizer == "adagrad":
         state = AdagradState.for_params(tensors, cfg.lr, cfg.decay)
@@ -446,14 +432,7 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch):
             sel = order[lo:lo + cfg.batch]
-            ys = y_train[sel]
-            if tuner is not None:
-                mean_loss, grads, dx = grads_fn(params, tuner.gather_train(sel), ys,
-                                                dropout_rng, want_dx=True)
-                # dx already carries the mean-loss scale, like the param grads
-                grads = dict(grads, embeddings=tuner.scatter_grad(sel, dx))
-            else:
-                mean_loss, grads = grads_fn(params, x_train[sel], ys, dropout_rng)
+            mean_loss, grads = grads_fn(params, x_train[sel], y_train[sel], dropout_rng)
             if not np.isfinite(mean_loss):
                 raise DivergedError(epoch)
             if state is not None:
@@ -464,13 +443,14 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
         train_loss = loss_sum / n
         if not np.isfinite(train_loss):
             raise DivergedError(epoch)
-        if tuner is not None:
-            x_test = tuner.test_inputs()
         accuracy = _accuracy(probs_fn, params, x_test, y_test)
         curve.points.append(
             CurvePoint(epoch, train_loss, accuracy, time.perf_counter() - start))
-    if tuner is not None:
-        tuner.write_back()
+    if cfg.fine_tune:
+        # the rows the training set touched go back to the table, by token
+        tokens = list(encoder.row)
+        rows = sorted(np.unique(x_train[x_train >= 0]), key=tokens.__getitem__)
+        encoder.tune([tokens[k] for k in rows], encoder.matrix[rows])
     return params, curve
 
 
@@ -582,6 +562,8 @@ def parse_config_text(text: str) -> dict:
     """Parse ``key=value`` lines (# comments allowed) into config fields."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if undecodable(raw):
+            raise ConfigError(f"line {lineno}: not valid UTF-8")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -598,7 +580,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def read_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             return parse_config_text(fh.read())
         except ConfigError as exc:

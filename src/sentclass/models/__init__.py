@@ -69,16 +69,16 @@ class Family:
     ``init(**spec fields, seed=...)`` builds a parameter set.  The batched
     functions share one calling convention: ``probs(params, xs)`` gives
     eval-mode class distributions, one row per example, and
-    ``grads(params, xs, labels, train, rng, want_dx)`` gives per-example
-    losses, batch-mean gradients keyed like ``params.tensors()`` and, when
-    ``want_dx`` is set, the input gradient.  ``hashed_probs``/``hashed_grads``
-    take hashed one-hot inputs as index sequences (pad = -1) and return the
-    gradient of the weights those rows multiply as a ``tensor.RowGrad``.
-    The fnn takes hashed counts only, carried as index rows (pad = -1, a
-    repeated index is a count), so its ``probs``/``grads`` are index kernels
-    of that kind: its ``w0`` gradient is a ``RowGrad`` and it has no input
-    gradient.  ``input_axis`` names the axis, in ``params.dims()``, that an
-    input row's width sizes.
+    ``grads(params, xs, labels, train, rng)`` gives per-example losses and
+    batch-mean gradients keyed like ``params.tensors()``.  For cnn, rnn and
+    lstm these are dense kernels on (B, n, d) embedding rows; only they take
+    ``want_dx=True``, which also returns the input gradient that fine-tuning
+    scatters onto the embedding matrix.  ``hashed_probs``/``hashed_grads``
+    take hashed one-hot index sequences (pad = -1) and return the gradient of
+    the weights those rows multiply as a ``tensor.RowGrad``.  The fnn's
+    ``probs``/``grads`` take hashed count index rows (pad = -1, a repeated
+    index is a count) and give ``w0`` a ``RowGrad``.  ``input_axis`` names
+    the axis, in ``params.dims()``, that an input row's width sizes.
     """
 
     params: type

@@ -264,12 +264,9 @@ def cnn_batch_probs_hashed(params: CnnParams, idx: np.ndarray) -> np.ndarray:
 
 
 def cnn_batch_grads_hashed(params: CnnParams, idx: np.ndarray, labels: np.ndarray,
-                           train: bool = True, rng: np.random.Generator | None = None,
-                           want_dx: bool = False):
+                           train: bool = True, rng: np.random.Generator | None = None):
     """Losses and mean gradients for hashed one-hot index sequences; the
     filter gradient is a ``RowGrad`` over the embed axis."""
-    if want_dx:
-        raise ValueError("index sequences have no input gradient")
     conv_pre = _hashed_conv(params, idx)
     losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
     # d_gathered[b, s, :, k]: gradient at the column that position s feeds to offset k

@@ -135,8 +135,7 @@ def fnn_batch_probs(params: FnnParams, xs: np.ndarray) -> np.ndarray:
 
 
 def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
-                         train: bool = True, rng: np.random.Generator | None = None,
-                         want_dx: bool = False):
+                         train: bool = True, rng: np.random.Generator | None = None):
     """Per-example losses and batch-mean gradients over a batch of hashed
     count rows, carried as indices like ``fnn_batch_probs`` takes them.
 
@@ -145,10 +144,7 @@ def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
     only the rows of ``w0`` the batch touches, and its gradient is a
     ``RowGrad`` over them.  The FNN has no dropout, so ``train`` and ``rng``
     change nothing; they keep the calling convention of the other families.
-    Index inputs have no input gradient: ``want_dx`` raises ``ValueError``.
     """
-    if want_dx:
-        raise ValueError("hashed count inputs are indices and have no input gradient")
     rows, block, weights = _count_block(params, xs)
     activations = [block]
     for w, b in zip(weights[:-1], params.biases[:-1]):

@@ -304,12 +304,9 @@ def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
 
 
 def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndarray,
-                            train: bool = True, rng: np.random.Generator | None = None,
-                            want_dx: bool = False):
+                            train: bool = True, rng: np.random.Generator | None = None):
     """Losses and mean gradients for hashed one-hot index sequences (B, n):
     the input projections are row gathers, their gradients ``RowGrad``s."""
-    if want_dx:
-        raise ValueError("index sequences have no input gradient")
     steps = idx.T
     dpres = np.empty((len(_GATES), *steps.shape, params.hidden))
 

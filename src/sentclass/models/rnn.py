@@ -214,12 +214,9 @@ def rnn_batch_grads(params: RnnParams, xs: np.ndarray, labels: np.ndarray,
 
 
 def rnn_batch_grads_hashed(params: RnnParams, idx: np.ndarray, labels: np.ndarray,
-                           train: bool = True, rng: np.random.Generator | None = None,
-                           want_dx: bool = False):
+                           train: bool = True, rng: np.random.Generator | None = None):
     """Losses and mean gradients for hashed one-hot index sequences (B, n):
     the input projection is a row gather, its gradient a ``RowGrad``."""
-    if want_dx:
-        raise ValueError("index sequences have no input gradient")
     steps = idx.T
     dpres = np.empty((*steps.shape, params.hidden))
 

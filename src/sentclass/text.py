@@ -6,6 +6,7 @@ feature hashing, fixed-length padding and the underscore normalization
 used for pre-segmented Vietnamese words.
 """
 
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ def hash_index(token: str, dim: int) -> int:
     if dim < 2:
         raise ValueError(f"hash dimension must be at least 2, got {dim}")
     return murmur3_32(token.encode("utf-8")) % dim
+
+
+def undecodable(line: str) -> bool:
+    """Whether a line read with ``errors="surrogateescape"`` held bytes that
+    are not UTF-8: each such byte decodes to a lone surrogate."""
+    return re.search("[\udc80-\udcff]", line) is not None
 
 
 def tokenize(text: str) -> list[str]:

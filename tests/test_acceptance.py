@@ -9,7 +9,8 @@ a directory containing
 is provided via SENTCLASS_DATA_DIR (default: ./data under the repo root).
 Those runs train at full scale (100 epochs) and take up to a few hours in
 total.  Everything else is hermetic; the synthetic benchmark (criterion 7)
-is the longest hermetic piece at roughly ten minutes.
+is the longest hermetic piece: about 80 s of the suite's roughly 95 s on
+a 2-vCPU machine.
 """
 
 import os

@@ -109,10 +109,6 @@ class TestFnnBatch:
                 np.testing.assert_allclose(got_losses, losses, atol=1e-12)
                 assert_grads_close(got, want)
 
-    def test_input_gradient_is_refused(self):
-        with pytest.raises(ValueError, match="input gradient"):
-            fnn_batch_loss_grads(self.params, self.idx, self.labels, want_dx=True)
-
     def test_weight_gradients_by_finite_differences(self):
         # criterion 1's bound, through the index route
         tensors = self.params.tensors()
@@ -342,10 +338,3 @@ class TestRecurrentHashedGrads:
             return {name: np.asarray(g) for name, g in grads.items()}
 
         assert grad_check(loss_fn, grad_fn, params.tensors(), max_coords=10_000) < 1e-4
-
-    def test_input_gradient_refused(self, arch):
-        spec, _, hashed_grads = RECURRENT_HASHED[arch]
-        params = M.init_params(spec(embed_dim=4, classes=2, hidden=3), 0)
-        with pytest.raises(ValueError, match="no input gradient"):
-            hashed_grads(params, np.zeros((1, 2), dtype=np.int64), np.array([0]),
-                         train=False, want_dx=True)

@@ -81,6 +81,14 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "x")]
         assert main(args) == 2
 
+    def test_non_finite_vector_is_data_error(self, corpus_file, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cue0 0.5 0.25\ncue1 nan 0.25\n")
+        args = train_args(corpus_file, tmp_path / "run", "--encoding", "glove",
+                          "--embeddings", str(vectors))
+        assert main(args) == 2
+        assert f"{vectors}: line 2: non-finite component" in capsys.readouterr().err
+
     def test_diverged_exit_code(self, corpus_file, tmp_path, capsys):
         args = ["train", "--arch", "fnn", "--encoding", "counts", "--dim", "32",
                 "--optimizer", "sgd", "--lr", "1e307", "--epochs", "10",
@@ -244,6 +252,52 @@ class TestEvalAndPredict:
                         meta)
         monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
         assert main(["predict", "--checkpoint", str(path)]) == 2
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a typed error naming the input and line."""
+
+    def test_vector_file_is_data_error(self, corpus_file, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"cue0 0.5 0.25\ncue\xff1 0.5 0.25\n")
+        args = train_args(corpus_file, tmp_path / "run", "--encoding", "glove",
+                          "--embeddings", str(vectors))
+        assert main(args) == 2
+        assert f"{vectors}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_tsv_file_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"alpha\tcue0 pad1\nbeta\tcue1 \xff pad2\n")
+        assert main(train_args(corpus, tmp_path / "run")) == 2
+        assert f"{corpus}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_config_file_is_config_error(self, corpus_file, tmp_path, capsys):
+        config = tmp_path / "base.cfg"
+        config.write_bytes(b"epochs=2\n# caf\xe9\n")
+        args = ["train", "--config", str(config), "--format", "tsv",
+                "--train", str(corpus_file), "--out", str(tmp_path / "run")]
+        assert main(args) == 1
+        assert f"{config}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_grid_file_is_config_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_bytes(b"one arch=cnn\ntw\xff arch=rnn\n")
+        assert main(["bench", "--grid", str(grid)]) == 1
+        assert f"{grid}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_predict_line_is_data_error(self, corpus_file, tmp_path, capsys, monkeypatch,
+                                        errors):
+        out_dir = tmp_path / "run"
+        assert main(train_args(corpus_file, out_dir, "--epochs", "6")) == 0
+        capsys.readouterr()
+        stdin = io.TextIOWrapper(io.BytesIO(b"cue0 cue0 pad1\ncue1 \xff pad2\ncue1\n"),
+                                 encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["predict", "--checkpoint", str(out_dir / "checkpoint.bin")]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["alpha"]  # the lines before it are labelled
+        assert "stdin: line 2: not valid UTF-8" in err
 
 
 class TestBench:

@@ -47,6 +47,13 @@ class TestTextLoader:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_text_vectors(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_reports_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1.0 2.0\nb 1.0 {value}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+            load_text_vectors(path)
+
     def test_three_line_round_trip(self, tmp_path):
         rows = {"red": [1.0, 0.0, 0.5], "green": [0.25, -1.5, 2.0],
                 "blue": [-0.125, 3.0, 0.0]}
@@ -94,6 +101,13 @@ class TestBinaryLoader:
         blob = binary_bytes([("hi", [1.5, -2.0]), ("yo", [0.0, 1.0])], dim=2)
         path.write_bytes(blob[:-5])
         with pytest.raises(EmbeddingFormatError, match="record 1"):
+            load_binary_vectors(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_component_reports_record(self, tmp_path, value):
+        path = tmp_path / "vec.bin"
+        path.write_bytes(binary_bytes([("a", [1.0, 2.0]), ("b", [value, 0.5])], 2))
+        with pytest.raises(EmbeddingFormatError, match="record 1: non-finite"):
             load_binary_vectors(path)
 
     def test_bad_header(self, tmp_path):

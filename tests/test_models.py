@@ -11,6 +11,7 @@ import pytest
 
 import sentclass.models as M
 from sentclass.embeddings import EmbeddingTable
+from sentclass.harness.data import Dataset
 from sentclass.harness.run import CountEncoder, DenseSequenceEncoder, predict
 from sentclass.tensor import SequenceTooShortError, make_rng
 
@@ -328,10 +329,16 @@ class TestPredict:
         rng = np.random.default_rng(8)
         params = M.init_params(M.CnnSpec(embed_dim=3, classes=4, n_filters=5,
                                          window=2, hidden=4, dropout=0.0), 11)
-        xs = rng.normal(size=(10, 6, 3))
-        encoder = DenseSequenceEncoder(EmbeddingTable(dim=3, entries={}), 6)
-        want = [int(np.argmax(M.cnn_forward(params, x)[0])) for x in xs]
-        assert list(predict(params, xs, encoder)) == want
+        vocab = [f"w{i}" for i in range(12)]
+        table = EmbeddingTable(dim=3, entries={t: rng.normal(size=3) for t in vocab[:8]},
+                               oov_policy="random-fixed")
+        encoder = DenseSequenceEncoder(table, 6)
+        sentences = [[vocab[k] for k in rng.integers(0, 12, size=rng.integers(1, 8))]
+                     for _ in range(10)]
+        idx = encoder.encode_many(Dataset([(0, tokens) for tokens in sentences], ["a"]))
+        want = [int(np.argmax(M.cnn_forward(params, encoder.encode(tokens))[0]))
+                for tokens in sentences]
+        assert list(predict(params, idx, encoder)) == want
 
     def test_invariant_under_monotone_logit_transform(self):
         rng = np.random.default_rng(9)

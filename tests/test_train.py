@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sentclass.models as M
+from sentclass.embeddings import EmbeddingTable, lookup_matrix
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import (
     ARCHS,
@@ -16,6 +17,7 @@ from sentclass.harness.run import (
     ConfigError,
     CountEncoder,
     CurvePoint,
+    DenseSequenceEncoder,
     HashedSequenceEncoder,
     LearningCurve,
     RunConfig,
@@ -29,6 +31,8 @@ from sentclass.harness.run import (
     predict,
     train_run,
     _arch_spec,
+    _batch_functions,
+    _embedding_rows,
 )
 from sentclass.harness.synth import corpus_tokens, write_embeddings_file
 from sentclass.models.checkpoint import (
@@ -38,6 +42,7 @@ from sentclass.models.checkpoint import (
     save_checkpoint,
 )
 from sentclass.optim import cross_entropy, lbfgs_minimize
+from sentclass.tensor import gather_rows
 from sentclass.text import PAD_TOKEN, build_vocabulary, count_vector, hash_index, pad_or_truncate
 
 VALID_PAIRS = [(arch, encoding) for arch in ARCHS for encoding in ENCODINGS
@@ -171,9 +176,6 @@ class TestTrainRunContracts:
         assert curve.best_accuracy >= 0.9
 
     def test_fine_tune_embedding_gradient_matches_finite_differences(self, tmp_path):
-        from sentclass.harness.run import _FineTuner
-        from sentclass.models.cnn import cnn_batch_grads
-
         data = tiny_dataset(12)
         vec_path = tmp_path / "vectors.txt"
         write_embeddings_file(vec_path, corpus_tokens(data), dim=5, seed=2)
@@ -181,32 +183,52 @@ class TestTrainRunContracts:
                         filters=4, hidden=4, window=2, max_len=6, seed=3,
                         dropout=0.0, fine_tune=True)
         encoder = build_encoder(cfg, data)
-        tuner = _FineTuner(encoder, data, data)
+        idx = encoder.encode_many(data)
+        grads_fn, _ = _batch_functions(cfg, encoder)
         params = M.init_params(
             M.CnnSpec(embed_dim=5, classes=2, n_filters=4, window=2, hidden=4,
                       dropout=0.0), 6)
-        sel = np.arange(len(data))
         ys = np.array([label for label, _ in data.examples])
 
         def mean_loss():
-            losses, _ = cnn_batch_grads(params, tuner.gather_train(sel), ys,
-                                        train=False)
-            return float(losses.mean())
+            return grads_fn(params, idx, ys, np.random.default_rng(0))[0]
 
-        _, _, dx = cnn_batch_grads(params, tuner.gather_train(sel), ys,
-                                   train=False, want_dx=True)
-        grad = tuner.scatter_grad(sel, dx)
-        assert grad.shape == tuner.matrix.shape
+        grad = grads_fn(params, idx, ys, np.random.default_rng(0))[1]["embeddings"]
+        matrix = encoder.matrix
+        assert grad.shape == matrix.shape
         assert grad.rows.min() >= 0  # padding has no row to update
+        # the rows of the first and fourth training tokens in sorted order
+        tokens = sorted(encoder.row)
         eps = 1e-6
-        for row, col in ((0, 1), (3, 2)):
-            tuner.matrix[row, col] += eps
+        for row, col in ((encoder.row[tokens[0]], 1), (encoder.row[tokens[3]], 2)):
+            matrix[row, col] += eps
             up = mean_loss()
-            tuner.matrix[row, col] -= 2 * eps
+            matrix[row, col] -= 2 * eps
             down = mean_loss()
-            tuner.matrix[row, col] += eps
+            matrix[row, col] += eps
             numeric = (up - down) / (2 * eps)
             assert grad[row, col] == pytest.approx(numeric, abs=1e-6)
+
+    @pytest.mark.parametrize("oov_policy", ["zero", "random-fixed"])
+    def test_fine_tune_leaves_test_only_rows_static(self, tmp_path, oov_policy):
+        train = tiny_dataset(20)
+        test = Dataset([(0, ["cue0", "seen", "unseen"]), (1, ["cue1", "seen", "pad0"])],
+                       train.labels)
+        vec_path = tmp_path / "vectors.txt"
+        # "seen" is in the vector file and "unseen" is not; neither is in training
+        write_embeddings_file(vec_path, corpus_tokens(train) + ["seen"], dim=6, seed=4)
+        cfg = RunConfig(arch="cnn", encoding="glove", embeddings=str(vec_path),
+                        filters=4, hidden=4, window=2, epochs=3, max_len=6, batch=4,
+                        seed=5, oov_policy=oov_policy, fine_tune=True)
+        encoder = build_encoder(cfg, train)
+        loaded = {t: encoder.table.vector(t).copy() for t in ("seen", "unseen", "cue0")}
+        train_run(cfg, train, test, encoder=encoder)
+        for token in ("seen", "unseen"):
+            assert np.array_equal(encoder.matrix[encoder.row[token]], loaded[token])
+            assert np.array_equal(encoder.table.vector(token), loaded[token])
+            assert token not in encoder.tuned[0]
+        assert not np.array_equal(encoder.matrix[encoder.row["cue0"]], loaded["cue0"])
+        assert np.array_equal(encoder.table.vector("cue0"), encoder.matrix[encoder.row["cue0"]])
 
 
 class TestEvaluate:
@@ -281,6 +303,50 @@ class TestHashedEncoder:
                        if hash_index(f"tok{i}", 2) == hash_index(base, 2))
         out = self.rows([base, partner], 2)
         np.testing.assert_array_equal(out[0], out[1])
+
+
+class TestEmbeddingEncoder:
+    """Embedding inputs carried as index rows into the encoder's own matrix."""
+
+    TOKEN = st.one_of(st.sampled_from(["a", "b", "c", "d", PAD_TOKEN]),
+                      st.text(alphabet="abxyz", min_size=1, max_size=3))
+    SENTENCES = st.lists(st.lists(TOKEN, max_size=9), max_size=5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=SENTENCES, second=SENTENCES, max_len=st.integers(1, 7),
+           oov_policy=st.sampled_from(["zero", "random-fixed"]),
+           tuned=st.lists(TOKEN.filter(lambda t: t != PAD_TOKEN), max_size=3, unique=True))
+    @example(first=[], second=[], max_len=3, oov_policy="zero", tuned=[])
+    @example(first=[["a", PAD_TOKEN, "zz"]], second=[["new", "a"], []], max_len=2,
+             oov_policy="random-fixed", tuned=["a", "new"])
+    def test_gathered_rows_are_the_lookup_matrices(self, first, second, max_len,
+                                                   oov_policy, tuned):
+        rng = np.random.default_rng(0)
+        table = EmbeddingTable(dim=3, entries={t: rng.normal(size=3) for t in "abc"},
+                               oov_policy=oov_policy, oov_seed=7)
+        encoder = DenseSequenceEncoder(table, max_len)
+
+        def check(sentences):
+            idx = encoder.encode_many(Dataset([(0, t) for t in sentences], ["a"]))
+            assert idx.dtype == np.int64 and idx.shape == (len(sentences), max_len)
+            want = np.array([lookup_matrix(table, pad_or_truncate(t, max_len))
+                             for t in sentences]).reshape(len(sentences), max_len, 3)
+            # the route's gather; gather_rows itself needs a matrix row to read for pad
+            assert np.array_equal(_embedding_rows(encoder.matrix, idx), want)
+            if len(encoder.matrix):
+                assert np.array_equal(gather_rows(encoder.matrix, idx), want)
+            return idx
+
+        def tune(tokens, scale):
+            encoder.tune(tokens, scale * rng.normal(size=(len(tokens), 3)))
+
+        tune(tuned[:1], 1.0)  # before the tokens are met
+        idx = check(first)
+        check(second)  # may bring new tokens
+        tune(tuned, 2.0)  # after: their rows of the matrix follow
+        assert np.array_equal(check(first), idx)  # a token keeps its row
+        check(second)
+        assert sorted(encoder.row.values()) == list(range(len(encoder.matrix)))
 
 
 class TestCountEncoder:
