@@ -43,11 +43,14 @@ class ConfigError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss: at ``iteration`` (an epoch, or an
+    L-BFGS iteration) and, in minibatch training, at its 1-based ``batch``."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"training diverged at iteration {iteration}")
+    def __init__(self, iteration: int, batch: int | None = None):
+        where = "" if batch is None else f", batch {batch}"
+        super().__init__(f"training diverged at iteration {iteration}{where}")
         self.iteration = iteration
+        self.batch = batch
 
 
 @dataclass
@@ -353,10 +356,10 @@ def _batch_functions(cfg, encoder):
         fine_tune = getattr(cfg, "fine_tune", False)
 
         def batch_probs(params, idx):
-            return family.probs(params, _embedding_rows(encoder.matrix, idx))
+            return family.probs(params, gather_rows(encoder.matrix, idx))
 
         def batch_grads(params, idx, ys, train, rng):
-            losses, grads, *dx = family.grads(params, _embedding_rows(encoder.matrix, idx), ys,
+            losses, grads, *dx = family.grads(params, gather_rows(encoder.matrix, idx), ys,
                                               train=train, rng=rng, want_dx=fine_tune)
             if fine_tune:  # dx already carries the mean-loss scale, like the param grads
                 grads = dict(grads, embeddings=scatter_rows(dx[0], idx, encoder.matrix.shape))
@@ -366,12 +369,6 @@ def _batch_functions(cfg, encoder):
         losses, grads = batch_grads(params, xs, ys, train=True, rng=rng)
         return float(losses.mean()), grads
     return grads_fn, batch_probs
-
-
-def _embedding_rows(matrix, idx):
-    """``gather_rows(matrix, idx)``, also while ``matrix`` has no rows: all of
-    ``idx`` is pad then, and gather_rows needs a row to read for pad."""
-    return gather_rows(matrix if len(matrix) else np.zeros((1, matrix.shape[1])), idx)
 
 
 def _classes(probs_fn, params, xs) -> np.ndarray:
@@ -430,11 +427,11 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        for lo in range(0, n, cfg.batch):
+        for batch, lo in enumerate(range(0, n, cfg.batch), start=1):
             sel = order[lo:lo + cfg.batch]
             mean_loss, grads = grads_fn(params, x_train[sel], y_train[sel], dropout_rng)
             if not np.isfinite(mean_loss):
-                raise DivergedError(epoch)
+                raise DivergedError(epoch, batch)
             if state is not None:
                 adagrad_step(state, tensors, grads)
             else:

@@ -10,16 +10,20 @@ Per step, from x_t, h_{t-1} and c_{t-1}:
     h_t    = gate_o * tanh(c_t)
 
 The last hidden state feeds the same dropout-plus-linear-softmax head as
-the simple recurrent model.  Backpropagation through time is exact.
+the simple recurrent model.  Backpropagation through time is exact.  The
+batched kernels hold a batch's gates in one C-contiguous (n, B, 4h) buffer in
+``_GATES`` order: it starts as the input projections and each step overwrites
+its slice in place with the gate values, which backpropagation then reads.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
-                      softmax_rows)
+from ..tensor import (RowGrad, ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid,
+                      softmax, softmax_rows)
 from .head import head_grads
 
 _GATES = ("i", "f", "o", "g")
@@ -203,35 +207,50 @@ def lstm_backward(params: LstmParams, trace: LstmTrace, label: int) -> dict[str,
     return g
 
 
+def _gate_tensors(params, prefix):
+    return [getattr(params, f"{prefix}_{gate}") for gate in _GATES]
+
+
 def _input_projections(params, xs):
-    # all steps against the input weights up front (one big matmul per gate)
-    return [np.einsum("bnd,dh->nbh", xs, getattr(params, f"wx_{gate}"), optimize=True)
-            for gate in _GATES]
+    """x_t Wx for every step and gate, as a fresh gate buffer.  Each gate's einsum is
+    copied in: laid out (h, B, n), its step slices would read the hidden axis B*n
+    entries apart, and a time-major product would not give the same bits."""
+    b, n, _ = xs.shape
+    out = np.empty((n, b, 4 * params.hidden))
+    for cols, wx in zip(np.split(out, 4, axis=2), _gate_tensors(params, "wx")):
+        cols[...] = np.einsum("bnd,dh->nbh", xs, wx, optimize=True)
+    return out
 
 
-def _batch_cell(params, projections):
-    # projections[k][t] = x_t Wx for gate _GATES[k], each (n, B, hidden)
-    proj_i, proj_f, proj_o, proj_g = projections
-    n, b, hid = proj_i.shape
-    shape = (n, b, hid)
-    gate_i = np.zeros(shape)
-    gate_f = np.zeros(shape)
-    gate_o = np.zeros(shape)
-    cand = np.zeros(shape)
-    cell = np.zeros(shape)
-    hiddens = np.zeros(shape)
-    h = np.zeros((b, hid))
-    c = np.zeros((b, hid))
+def _backprop(dpres, weights):
+    # sum over the gates of dpre @ W.T, added in _GATES order
+    return reduce(np.add, [dpre @ w.T for dpre, w in zip(dpres, weights)])
+
+
+def _batch_cell(params, gates):
+    """Run the cell from zero state over the gate buffer ``gates``; each step overwrites
+    its slice with logistic i, f, o and the tanh candidate.  Returns ``(gates, cells,
+    hiddens)``.  Each gate's recurrent product goes into its own columns: one
+    (B, h)@(h, 4h) product does not give the same bits at every width."""
+    n, b, width = gates.shape
+    hid = width // 4
+    wh = _gate_tensors(params, "wh")
+    bias = np.concatenate(_gate_tensors(params, "b"))
+    cells, hiddens = np.empty((2, n, b, hid))
+    h = c = np.zeros((b, hid))
+    recurrent = np.empty((b, width))
     for t in range(n):
-        gate_i[t] = sigmoid(proj_i[t] + h @ params.wh_i + params.b_i)
-        gate_f[t] = sigmoid(proj_f[t] + h @ params.wh_f + params.b_f)
-        gate_o[t] = sigmoid(proj_o[t] + h @ params.wh_o + params.b_o)
-        cand[t] = np.tanh(proj_g[t] + h @ params.wh_g + params.b_g)
-        c = gate_i[t] * cand[t] + gate_f[t] * c
-        cell[t] = c
-        h = gate_o[t] * np.tanh(c)
-        hiddens[t] = h
-    return gate_i, gate_f, gate_o, cand, cell, hiddens
+        for w, cols in zip(wh, np.split(recurrent, 4, axis=1)):
+            np.matmul(h, w, out=cols)
+        z = gates[t]
+        z += recurrent
+        z += bias
+        sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+        gate_i, gate_f, gate_o, cand = np.split(z, 4, axis=1)
+        c = np.add(gate_i * cand, gate_f * c, out=cells[t])
+        h = np.multiply(gate_o, np.tanh(c), out=hiddens[t])
+    return gates, cells, hiddens
 
 
 def lstm_batch_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
@@ -242,80 +261,78 @@ def lstm_batch_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
 
 def lstm_batch_probs_hashed(params: LstmParams, idx: np.ndarray) -> np.ndarray:
     """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    projections = [gather_rows(getattr(params, f"wx_{gate}"), idx.T) for gate in _GATES]
-    *_, hiddens = _batch_cell(params, projections)
+    *_, hiddens = _batch_cell(params, gather_rows(_gate_tensors(params, "wx"), idx.T))
     return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
 
 
 def _batch_grads(params, states, labels, train, rng, input_grad):
-    """Losses and gradients from the ``_batch_cell`` states.  The input
-    weights' gradients ``g["wx_*"]`` are left to ``input_grad(t, dpres, g)``,
-    which BPTT hands each step's pre-activation gradients in ``_GATES``
-    order, last step first."""
-    gate_i, gate_f, gate_o, cand, cell, hiddens = states
-    n, b, _ = hiddens.shape
-    tanh_cell = np.tanh(cell)
-    g = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    losses, g["w_head"], g["b_head"], dh = head_grads(
+    """Losses and the gradients of every tensor but the ``wx_*`` from the ``_batch_cell``
+    states.  BPTT hands each step's pre-activation gradients, in ``_GATES`` order and
+    last step first, to ``input_grad(t, dpres)``, and reads that step's gates no more."""
+    gates, cells, hiddens = states
+    n, b, hid = cells.shape
+    wh = _gate_tensors(params, "wh")
+    g_wh = [np.zeros_like(w) for w in wh]
+    g_b = [np.zeros(hid) for _ in _GATES]
+    losses, g_w_head, g_b_head, dh = head_grads(
         hiddens[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
-    dc = np.zeros((b, params.hidden))
+    dc = np.zeros((b, hid))
     for t in reversed(range(n)):
-        i_t, f_t, o_t = gate_i[t], gate_f[t], gate_o[t]
-        u_t, tc_t = cand[t], tanh_cell[t]
-        c_prev = cell[t - 1] if t > 0 else np.zeros_like(dc)
-        h_prev = hiddens[t - 1] if t > 0 else np.zeros_like(dh)
+        i_t, f_t, o_t, u_t = np.split(gates[t], 4, axis=1)
+        tc_t = np.tanh(cells[t])
+        c_prev = cells[t - 1] if t > 0 else np.zeros_like(dc)
         d_o = dh * tc_t
         dc = dc + dh * o_t * (1.0 - tc_t * tc_t)
-        dpre_i = dc * u_t * i_t * (1.0 - i_t)
-        dpre_f = dc * c_prev * f_t * (1.0 - f_t)
-        dpre_o = d_o * o_t * (1.0 - o_t)
-        dpre_u = dc * i_t * (1.0 - u_t * u_t)
-        dc_next = dc * f_t
-        input_grad(t, (dpre_i, dpre_f, dpre_o, dpre_u), g)
-        for gate, dpre in zip(_GATES, (dpre_i, dpre_f, dpre_o, dpre_u)):
-            g[f"wh_{gate}"] += h_prev.T @ dpre
-            g[f"b_{gate}"] += dpre.sum(axis=0)
-        dh = (dpre_i @ params.wh_i.T + dpre_f @ params.wh_f.T
-              + dpre_o @ params.wh_o.T + dpre_u @ params.wh_g.T)
-        dc = dc_next
-    return losses, g
+        dpres = (dc * u_t * i_t * (1.0 - i_t), dc * c_prev * f_t * (1.0 - f_t),
+                 d_o * o_t * (1.0 - o_t), dc * i_t * (1.0 - u_t * u_t))
+        dc = dc * f_t
+        input_grad(t, dpres)
+        for g, dpre in zip(g_b, dpres):
+            g += dpre.sum(axis=0)
+        if t == 0:
+            break  # h_0 is the zero state: nothing left to propagate to
+        for g, dpre in zip(g_wh, dpres):
+            g += hiddens[t - 1].T @ dpre
+        dh = _backprop(dpres, wh)
+    grads = {f"{kind}_{gate}": g for kind, gs in (("wh", g_wh), ("b", g_b))
+             for gate, g in zip(_GATES, gs)}
+    return losses, {**grads, "w_head": g_w_head, "b_head": g_b_head}
 
 
 def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
                      train: bool = True, rng: np.random.Generator | None = None,
                      want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    dx = np.zeros_like(xs) if want_dx else None
+    wx = _gate_tensors(params, "wx")
+    g_wx = [np.zeros_like(w) for w in wx]
+    dx = np.empty_like(xs) if want_dx else None
 
-    def input_grad(t, dpres, g):
+    def input_grad(t, dpres):
         xt = xs[:, t, :]
-        for gate, dpre in zip(_GATES, dpres):
-            g[f"wx_{gate}"] += xt.T @ dpre
+        for g, dpre in zip(g_wx, dpres):
+            g += xt.T @ dpre
         if want_dx:
-            dpre_i, dpre_f, dpre_o, dpre_u = dpres
-            dx[:, t, :] = (dpre_i @ params.wx_i.T + dpre_f @ params.wx_f.T
-                           + dpre_o @ params.wx_o.T + dpre_u @ params.wx_g.T)
+            dx[:, t, :] = _backprop(dpres, wx)
 
     states = _batch_cell(params, _input_projections(params, xs))
     losses, g = _batch_grads(params, states, labels, train, rng, input_grad)
-    if want_dx:
-        return losses, g, dx
-    return losses, g
+    g = {**{f"wx_{gate}": g_w for gate, g_w in zip(_GATES, g_wx)}, **g}
+    return (losses, g, dx) if want_dx else (losses, g)
 
 
 def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndarray,
                             train: bool = True, rng: np.random.Generator | None = None):
     """Losses and mean gradients for hashed one-hot index sequences (B, n):
-    the input projections are row gathers, their gradients ``RowGrad``s."""
+    the input projections are one row gather from the four ``wx_*`` side by
+    side, their gradients ``RowGrad``s from one scatter."""
     steps = idx.T
-    dpres = np.empty((len(_GATES), *steps.shape, params.hidden))
+    gates, cells, hiddens = _batch_cell(params, gather_rows(_gate_tensors(params, "wx"), steps))
 
-    def input_grad(t, step_dpres, _):
-        dpres[:, t] = step_dpres
+    def input_grad(t, dpres):  # a spent step's gate slot keeps its gradients
+        np.concatenate(dpres, axis=1, out=gates[t])
 
-    states = _batch_cell(params, [gather_rows(getattr(params, f"wx_{gate}"), steps)
-                                  for gate in _GATES])
-    losses, g = _batch_grads(params, states, labels, train, rng, input_grad)
-    for gate, gate_dpres in zip(_GATES, dpres):
-        g[f"wx_{gate}"] = scatter_rows(gate_dpres, steps, params.wx_i.shape)
-    return losses, g
+    losses, g = _batch_grads(params, (gates, cells, hiddens), labels, train, rng, input_grad)
+    wx = scatter_rows(gates, steps, (params.embed_dim, gates.shape[2]))
+    g_wx = {f"wx_{gate}": RowGrad(wx.rows, values, 0, params.wx_i.shape)
+            for gate, values in zip(_GATES, np.split(wx.values, 4, axis=1))}
+    return losses, {**g_wx, **g}

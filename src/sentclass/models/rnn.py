@@ -2,7 +2,9 @@
 
 Hidden state recurrence h_t = logistic(x_t W_in + h_{t-1} W_rec + b); the
 last hidden state feeds a dropout-regularised linear head with softmax.
-Backpropagation through time is exact (no truncation).
+Backpropagation through time is exact (no truncation).  The batched kernels
+write each hidden state in place over its step's slice of the C-contiguous
+(n, B, hidden) input projections.
 """
 
 from dataclasses import dataclass
@@ -151,20 +153,25 @@ def rnn_backward(params: RnnParams, trace: RnnTrace, label: int) -> dict[str, np
     }
 
 
-def _batch_hiddens(params, x_proj):
-    # x_proj[t] = x_t W_in for the whole batch, shape (n, B, hidden)
-    n, b, _ = x_proj.shape
-    hs = np.zeros((n, b, params.hidden))
-    h = np.zeros((b, params.hidden))
-    for t in range(n):
-        h = sigmoid(x_proj[t] + h @ params.w_rec + params.b_rec)
-        hs[t] = h
+def _input_projection(params, xs):
+    """x_t W_in for every step, as a C-contiguous (n, B, hidden) copy of the
+    einsum, whose product is laid out (h, B, n) (see ``lstm._input_projections``)."""
+    return np.ascontiguousarray(np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+
+
+def _batch_hiddens(params, hs):
+    """Hidden states from h_0 = 0, each written over its step's projection in ``hs``."""
+    h = np.zeros(hs.shape[1:])
+    for t in range(hs.shape[0]):
+        hs[t] += h @ params.w_rec
+        hs[t] += params.b_rec
+        h = sigmoid(hs[t], out=hs[t])
     return hs
 
 
 def rnn_batch_probs(params: RnnParams, xs: np.ndarray) -> np.ndarray:
     """Eval-mode class distributions for a (B, n, d) batch."""
-    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+    hs = _batch_hiddens(params, _input_projection(params, xs))
     return softmax_rows(hs[-1] @ params.w_head + params.b_head)
 
 
@@ -175,20 +182,20 @@ def rnn_batch_probs_hashed(params: RnnParams, idx: np.ndarray) -> np.ndarray:
 
 
 def _batch_grads(params, hs, labels, train, rng, input_grad):
-    """Losses and the gradients of every tensor but ``w_in`` from the hidden
-    states ``hs``; BPTT hands each step's pre-activation gradient to
-    ``input_grad(t, dpre)``, last step first."""
+    """Losses and the gradients of every tensor but ``w_in`` from the hidden states
+    ``hs``; BPTT hands each step's pre-activation gradient to ``input_grad(t, dpre)``,
+    last step first, and reads ``hs[t]`` no more after that call."""
     losses, g_w_head, g_b_head, dh = head_grads(
         hs[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     g_w_rec = np.zeros_like(params.w_rec)
     g_b_rec = np.zeros_like(params.b_rec)
     for t in reversed(range(hs.shape[0])):
-        h_t = hs[t]
-        dpre = dh * h_t * (1.0 - h_t)
+        dpre = dh * hs[t] * (1.0 - hs[t])
         input_grad(t, dpre)
         g_b_rec += dpre.sum(axis=0)
-        h_prev = hs[t - 1] if t > 0 else np.zeros_like(h_t)
-        g_w_rec += h_prev.T @ dpre
+        if t == 0:
+            break  # h_0 is the zero state: nothing left to propagate to
+        g_w_rec += hs[t - 1].T @ dpre
         dh = dpre @ params.w_rec.T
     return losses, {"w_rec": g_w_rec, "b_rec": g_b_rec, "w_head": g_w_head, "b_head": g_b_head}
 
@@ -198,19 +205,17 @@ def rnn_batch_grads(params: RnnParams, xs: np.ndarray, labels: np.ndarray,
                     want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
     g_w_in = np.zeros_like(params.w_in)
-    dx = np.zeros_like(xs) if want_dx else None
+    dx = np.empty_like(xs) if want_dx else None
 
     def input_grad(t, dpre):
         g_w_in[...] += xs[:, t, :].T @ dpre
         if want_dx:
             dx[:, t, :] = dpre @ params.w_in.T
 
-    hs = _batch_hiddens(params, np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
+    hs = _batch_hiddens(params, _input_projection(params, xs))
     losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
     grads = {"w_in": g_w_in, **grads}
-    if want_dx:
-        return losses, grads, dx
-    return losses, grads
+    return (losses, grads, dx) if want_dx else (losses, grads)
 
 
 def rnn_batch_grads_hashed(params: RnnParams, idx: np.ndarray, labels: np.ndarray,
@@ -218,11 +223,10 @@ def rnn_batch_grads_hashed(params: RnnParams, idx: np.ndarray, labels: np.ndarra
     """Losses and mean gradients for hashed one-hot index sequences (B, n):
     the input projection is a row gather, its gradient a ``RowGrad``."""
     steps = idx.T
-    dpres = np.empty((*steps.shape, params.hidden))
-
-    def input_grad(t, dpre):
-        dpres[t] = dpre
-
     hs = _batch_hiddens(params, gather_rows(params.w_in, steps))
+
+    def input_grad(t, dpre):  # a spent step's slot keeps its gradient
+        hs[t] = dpre
+
     losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
-    return losses, {"w_in": scatter_rows(dpres, steps, params.w_in.shape), **grads}
+    return losses, {"w_in": scatter_rows(hs, steps, params.w_in.shape), **grads}

@@ -4,7 +4,8 @@ A tensor here is simply a C-contiguous ``numpy.ndarray`` of rank 1 to 3
 holding 64-bit floats; a ``RowGrad`` is a gradient that is zero outside some
 rows of one.  All operations are pure functions of their inputs
 (plus an explicit random generator where noise is involved), so values can
-be shared read-only across threads.
+be shared read-only across threads; only ``sigmoid`` writes, and only into
+an ``out`` its caller hands it.
 """
 
 from dataclasses import dataclass
@@ -68,15 +69,21 @@ def relu(y) -> Tensor:
     return np.maximum(as_tensor(y), 0.0)
 
 
-def sigmoid(z) -> Tensor:
-    """Element-wise logistic function 1 / (1 + exp(-z))."""
+def sigmoid(z, out=None) -> Tensor:
+    """Element-wise logistic function 1 / (1 + exp(-z)), written to ``out``
+    when given (it may be ``z`` itself).
+
+    Both signs share e = exp(-|z|), which cannot overflow: the result is
+    1 / (1 + e) where z >= 0 and e / (1 + e) below, with no branch per entry.
+    -|z| is taken as min(z, -z), which keeps the sign of a NaN.
+    """
     z = as_tensor(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])  # avoids overflow for large negative z
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    top = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(top, e, out=out)
 
 
 def softmax(z) -> Tensor:
@@ -129,6 +136,8 @@ class RowGrad:
 def _distinct(idx):
     # sorted distinct indices (pad -1 first when present) and each entry's slot
     rows, slots = np.unique(idx, return_inverse=True)
+    if rows.size and rows[0] < -1:  # numpy would read it as a row from the end
+        raise IndexError(f"index {rows[0]} is neither a row nor the pad -1")
     return rows, slots.reshape(idx.shape), int(rows.size > 0 and rows[0] < 0)
 
 
@@ -137,13 +146,22 @@ def gather_rows(w, idx, axis=0) -> Tensor:
     zero where the index is -1: the product of hashed one-hot rows, carried
     as indices, with ``w``.
 
-    The lookup table holds only the distinct rows ``idx`` uses, plus a zero
-    slot for padding.  The result has shape ``idx.shape`` followed by the
-    other axes of ``w`` in order.
+    ``w`` may also be a sequence of tensors with the same rows; their slices
+    are then read side by side, joined along the last axis.  The lookup table
+    holds only the distinct rows ``idx`` uses, plus a zero slot for padding.
+    The result has shape ``idx.shape`` followed by the other axes of ``w`` in
+    order, and is a fresh array.
     """
     rows, slots, pad = _distinct(idx)
-    table = np.moveaxis(w, axis, 0)[rows]  # copies the used rows only
-    table[:pad] = 0.0  # the pad slot read the last row
+    parts = [np.moveaxis(t, axis, 0) for t in (w if isinstance(w, (list, tuple)) else (w,))]
+    if not len(parts[0]):  # no row to read: pad is the only index there can be
+        if rows.size > pad:
+            raise IndexError(f"index {rows[pad]} is out of bounds for a table with no rows")
+        parts = [np.zeros((1, *part.shape[1:])) for part in parts]
+    # copies the used rows only; the pad slot reads the last row and is zeroed
+    table = (parts[0][rows] if len(parts) == 1
+             else np.concatenate([part[rows] for part in parts], axis=-1))
+    table[:pad] = 0.0
     return table[slots]
 
 

@@ -338,3 +338,67 @@ class TestRecurrentHashedGrads:
             return {name: np.asarray(g) for name, g in grads.items()}
 
         assert grad_check(loss_fn, grad_fn, params.tensors(), max_coords=10_000) < 1e-4
+
+
+class TestKernelsLeaveTheirInputs:
+    """The recurrent kernels write their gates and hidden states in place, into
+    buffers of their own: the gather and the input projection hand back fresh
+    arrays, so no route writes through to the parameters, the batch or the
+    encoder's embedding matrix."""
+
+    @staticmethod
+    def assert_untouched(arrays, call):
+        before = [a.copy() for a in arrays]
+        call()
+        for was, now in zip(before, arrays):
+            assert np.array_equal(now, was)
+
+    def check_route(self, params, batch, labels, probs, grads, extra=()):
+        arrays = [*params.tensors().values(), batch, *extra]
+        self.assert_untouched(arrays, lambda: probs(params, batch))
+        self.assert_untouched(arrays, lambda: grads(params, batch, labels, train=True,
+                                                    rng=make_rng(3)))
+
+    def test_fnn_counts(self):
+        rng = np.random.default_rng(30)
+        params = M.init_params(M.FnnSpec((16, 5, 3)), 31)
+        idx = random_indices(rng, 5, 7, 16)
+        self.check_route(params, idx, rng.integers(0, 3, size=5),
+                         fnn_batch_probs, fnn_batch_loss_grads)
+
+    @pytest.mark.parametrize("route", ["dense", "hashed"])
+    @pytest.mark.parametrize("arch", ["cnn", "rnn", "lstm"])
+    def test_sequence_kernels(self, arch, route):
+        family = M.FAMILIES[arch]
+        sizes = dict(n_filters=4) if arch == "cnn" else {}
+        params = M.init_params(family.spec(embed_dim=12, classes=3, hidden=5, dropout=0.3,
+                                           **sizes), 32)
+        rng = np.random.default_rng(33)
+        labels = rng.integers(0, 3, size=4)
+        if route == "hashed":
+            self.check_route(params, random_indices(rng, 4, 6, 12), labels,
+                             family.hashed_probs, family.hashed_grads)
+        else:
+            def grads(*args, **kwargs):
+                return family.grads(*args, want_dx=True, **kwargs)
+            self.check_route(params, rng.normal(size=(4, 6, 12)), labels, family.probs, grads)
+
+    @pytest.mark.parametrize("arch", ["cnn", "rnn", "lstm"])
+    def test_fine_tuned_embedding_route(self, arch):
+        from sentclass.embeddings import EmbeddingTable
+        from sentclass.harness.run import DenseSequenceEncoder, RunConfig, _batch_functions
+        rng = np.random.default_rng(34)
+        table = EmbeddingTable(dim=6, entries={t: rng.normal(size=6) for t in "abcd"},
+                               oov_policy="random-fixed", oov_seed=1)
+        encoder = DenseSequenceEncoder(table, max_len=5)
+        sentences = [["a", "b", "zz"], ["c", "a", "d", "b", "a"], ["d"], ["b", "yy", "c"]]
+        idx = encoder.encode_many(Dataset([(0, t) for t in sentences], ["a"]))
+        cfg = RunConfig(arch=arch, encoding="glove", fine_tune=True, hidden=5, dropout=0.3)
+        sizes = dict(n_filters=4) if arch == "cnn" else {}
+        params = M.init_params(M.FAMILIES[arch].spec(embed_dim=6, classes=3, hidden=5,
+                                                     dropout=0.3, **sizes), 35)
+        grads_fn, probs_fn = _batch_functions(cfg, encoder)
+        labels = rng.integers(0, 3, size=len(sentences))
+        arrays = [*params.tensors().values(), idx, encoder.matrix]
+        self.assert_untouched(arrays, lambda: probs_fn(params, idx))
+        self.assert_untouched(arrays, lambda: grads_fn(params, idx, labels, make_rng(4)))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sentclass.tensor import (
     SequenceTooShortError,
@@ -34,6 +37,22 @@ def conv_oracle(x, f, bias):
                     acc += f[i, j, k] * x[t + k, j]
             out[t, i] = acc
     return out
+
+
+def sigmoid_oracle(z):
+    """The two-branch logistic: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: tells -0.0 from 0.0 and compares NaN payloads."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def pool_oracle(y):
@@ -205,6 +224,39 @@ class TestSigmoid:
         out = sigmoid(z)
         assert np.all(out > 0) and np.all(out < 1)
 
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0,
+               37.0, -37.0, 1e-300, -1e-300, 5e-324, -5e-324]
+
+    def test_bits_of_the_two_branch_formula(self):
+        z = np.array(self.SPECIAL)
+        assert same_bits(sigmoid(z), sigmoid_oracle(z))
+        assert np.array_equal(sigmoid(z), sigmoid_oracle(z), equal_nan=True)
+        big = np.random.default_rng(8).normal(scale=30.0, size=(128, 256))
+        assert same_bits(sigmoid(big), sigmoid_oracle(big))
+
+    def test_out_may_be_the_input_slice(self):
+        z = np.random.default_rng(9).normal(scale=30.0, size=(16, 40))
+        want = sigmoid_oracle(z[:, :30])
+        got = sigmoid(z[:, :30], out=z[:, :30])
+        assert np.shares_memory(got, z) and same_bits(z[:, :30], want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1,
+                                                     max_side=6),
+                        elements=st.floats(allow_nan=True, allow_infinity=True)),
+           column=st.integers(0, 5))
+    def test_property_matches_the_two_branch_formula(self, z, column):
+        # any shape and value; ``out=`` a strided column slice of another array
+        assert same_bits(sigmoid(z), sigmoid_oracle(z))
+        flat = z.reshape(-1, z.shape[-1])
+        column = min(column, flat.shape[1] - 1)
+        host = np.full((flat.shape[0], flat.shape[1] + 2), 7.0)
+        out = host[:, column:column + 1]
+        sigmoid(flat[:, column:column + 1], out=out)
+        assert same_bits(np.ascontiguousarray(out), sigmoid_oracle(flat[:, column:column + 1]))
+        rest = np.delete(host, column, axis=1)
+        assert np.all(rest == 7.0)  # nothing outside the slice is written
+
 
 class TestDropoutMask:
     def test_p_zero_is_all_ones(self):
@@ -250,6 +302,37 @@ class TestGatherRows:
             if k >= 0:
                 onehot[b, t, k] = 1.0
         np.testing.assert_array_equal(gather_rows(w, idx), onehot @ w)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_empty_table_pads_with_zeros(self, axis):
+        shape = [(0, 3), (4, 0, 3)][axis]
+        got = gather_rows(np.zeros(shape), np.array([[-1, -1]]), axis=axis)
+        rest = shape[:axis] + shape[axis + 1:]
+        assert same_bits(got, np.zeros((1, 2, *rest)))
+        with pytest.raises(IndexError):
+            gather_rows(np.zeros(shape), np.array([[0, -1]]), axis=axis)
+
+    def test_tables_side_by_side(self):
+        rng = np.random.default_rng(45)
+        tables = [rng.normal(size=(9, k)) for k in (2, 3, 2)]
+        idx = np.array([[4, -1, 0], [8, 4, -1]])
+        got = gather_rows(tables, idx)
+        assert same_bits(got, gather_rows(np.concatenate(tables, axis=1), idx))
+        assert same_bits(gather_rows([t[:0] for t in tables], np.array([[-1]])),
+                         np.zeros((1, 1, 7)))
+
+    def test_index_below_pad_is_refused(self):
+        w = np.arange(12.0).reshape(4, 3)
+        idx = np.array([[-2, -1, 0]])
+        with pytest.raises(IndexError):
+            gather_rows(w, idx)
+        with pytest.raises(IndexError):
+            scatter_rows(np.ones((1, 3, 3)), idx, w.shape)
+
+    def test_result_is_fresh(self):
+        w = np.random.default_rng(46).normal(size=(5, 3))
+        got = gather_rows(w, np.array([[0, 1, 2, 3, 4]]))
+        assert not np.shares_memory(got, w)
 
     def test_inner_axis_of_a_bank(self):
         bank = np.random.default_rng(42).normal(size=(4, 9, 3))

@@ -32,7 +32,6 @@ from sentclass.harness.run import (
     train_run,
     _arch_spec,
     _batch_functions,
-    _embedding_rows,
 )
 from sentclass.harness.synth import corpus_tokens, write_embeddings_file
 from sentclass.models.checkpoint import (
@@ -150,6 +149,17 @@ class TestTrainRunContracts:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedError, match="iteration"):
                 train_run(cfg, data, data)
+
+    def test_minibatch_divergence_names_the_batch(self):
+        data = tiny_dataset()  # 24 examples: batches 1-3 of 8 per epoch
+        cfg = RunConfig(arch="fnn", encoding="counts", dim=32, epochs=10,
+                        optimizer="sgd", lr=1e307, batch=8, seed=6)
+        from sentclass.harness.run import DivergedError
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError,
+                               match=r"^training diverged at iteration 1, batch 2$") as info:
+                train_run(cfg, data, data)
+        assert (info.value.iteration, info.value.batch) == (1, 2)
 
     def test_embedding_encoding_end_to_end(self, tmp_path):
         data = tiny_dataset(30)
@@ -331,10 +341,8 @@ class TestEmbeddingEncoder:
             assert idx.dtype == np.int64 and idx.shape == (len(sentences), max_len)
             want = np.array([lookup_matrix(table, pad_or_truncate(t, max_len))
                              for t in sentences]).reshape(len(sentences), max_len, 3)
-            # the route's gather; gather_rows itself needs a matrix row to read for pad
-            assert np.array_equal(_embedding_rows(encoder.matrix, idx), want)
-            if len(encoder.matrix):
-                assert np.array_equal(gather_rows(encoder.matrix, idx), want)
+            # the route's gather, also while the matrix has no rows
+            assert np.array_equal(gather_rows(encoder.matrix, idx), want)
             return idx
 
         def tune(tokens, scale):
