@@ -177,7 +177,9 @@ class DenseSequenceEncoder:
 
 
 class HashedSequenceEncoder:
-    """Padded token sequence to hashed one-hot rows, carried as indices."""
+    """Padded token sequence to hashed one-hot rows, carried as indices
+    (pad = -1).  ``encode_many`` hashes each distinct token once per call;
+    ``indices`` is the per-example oracle."""
 
     kind = "hashed"
 
@@ -197,9 +199,14 @@ class HashedSequenceEncoder:
         )
 
     def encode_many(self, dataset: Dataset) -> np.ndarray:
-        out = np.empty((len(dataset.examples), self.max_len), dtype=np.int64)
+        slots = {PAD_TOKEN: -1}
+        out = np.full((len(dataset.examples), self.max_len), -1, dtype=np.int64)
         for i, (_, tokens) in enumerate(dataset.examples):
-            out[i] = self.indices(tokens)
+            row = tokens[:self.max_len]
+            for token in row:
+                if token not in slots:
+                    slots[token] = hash_index(token, self._dim)
+            out[i, :len(row)] = [slots[t] for t in row]
         return out
 
 

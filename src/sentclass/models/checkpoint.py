@@ -6,15 +6,22 @@ then the parameter tensors concatenated as little-endian float64 in header
 order.  Metadata values that are arrays follow the parameters in the same
 encoding, listed under the header's ``arrays`` key.  Writing and re-reading
 a checkpoint is bit-exact.
+
+Format v2 stores the CNN filter bank as (embed, window, filters).  The reader
+also takes v1 files, whose bank is (filters, embed, window), and transposes
+it; for the other families v1 and v2 differ in the magic line only.
 """
 
 import json
+import math
+import os
 
 import numpy as np
 
 from . import FAMILIES, ModelParams
 
-MAGIC = b"#sentclass-checkpoint-v1\n"
+MAGIC = b"#sentclass-checkpoint-v2\n"
+MAGIC_V1 = b"#sentclass-checkpoint-v1\n"
 
 
 class CheckpointError(ValueError):
@@ -52,7 +59,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint back into a parameter set and its metadata."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if magic not in (MAGIC, MAGIC_V1):
             raise CheckpointError(f"{path}: not a checkpoint file")
         header_line = fh.readline()
         try:
@@ -77,6 +84,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         trailing = fh.read(1)
         if trailing:
             raise CheckpointError(f"{path}: trailing bytes after tensors")
+    if magic == MAGIC_V1 and arch == "cnn" and np.ndim(tensors.get("filters")) == 3:
+        # v1 stored the bank (filters, embed, window)
+        tensors["filters"] = np.ascontiguousarray(tensors["filters"].transpose(1, 2, 0))
     try:
         params = family.params.from_tensors(tensors, **hyper)
     except (KeyError, TypeError) as exc:
@@ -91,13 +101,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 
 
 def _read_tensors(fh, fields, path) -> dict[str, np.ndarray]:
+    """Each field's tensor, read from ``fh`` straight into its own array."""
     tensors = {}
     for name, shape in fields:
-        count = int(np.prod(shape)) if shape else 1
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
+        size = 8 * math.prod(shape)
+        # a header can claim any shape: allocate no more than the file holds
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            tensor = np.empty(shape, dtype="<f8")
+        except ValueError as exc:  # a dimension numpy cannot index
+            raise CheckpointError(f"{path}: tensor {name!r}: {exc}") from None
+        if fh.readinto(tensor.reshape(-1).view(np.uint8)) != size:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        tensors[name] = tensor
     return tensors
 
 

@@ -10,15 +10,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (conv1d_wgram, dropout_mask, gather_rows, max_pool_time, relu,
-                      scatter_rows, softmax, softmax_rows)
+from ..tensor import (RowGrad, conv1d_wgram, dropout_mask, max_pool_time, relu, row_table,
+                      softmax, softmax_rows)
 from .head import head_grads
 
 
 @dataclass
 class CnnParams:
     arch: ClassVar[str] = "cnn"
-    filters: np.ndarray  # (n_filters, embed_dim, window)
+    filters: np.ndarray  # (embed_dim, window, n_filters): one input row per embed index
     conv_bias: np.ndarray  # (n_filters,)
     w_fc: np.ndarray  # (n_filters, hidden)
     b_fc: np.ndarray  # (hidden,)
@@ -28,15 +28,15 @@ class CnnParams:
 
     @property
     def window(self) -> int:
-        return self.filters.shape[2]
-
-    @property
-    def embed_dim(self) -> int:
         return self.filters.shape[1]
 
     @property
-    def n_filters(self) -> int:
+    def embed_dim(self) -> int:
         return self.filters.shape[0]
+
+    @property
+    def n_filters(self) -> int:
+        return self.filters.shape[2]
 
     @property
     def hidden(self) -> int:
@@ -58,7 +58,7 @@ class CnnParams:
 
     def dims(self) -> dict[str, tuple[str, ...]]:
         """Each tensor's axes by name; axes with one name have one size."""
-        return {"filters": ("filters", "embed", "window"), "conv_bias": ("filters",),
+        return {"filters": ("embed", "window", "filters"), "conv_bias": ("filters",),
                 "w_fc": ("filters", "hidden"), "b_fc": ("hidden",),
                 "w_out": ("hidden", "classes"), "b_out": ("classes",)}
 
@@ -82,9 +82,19 @@ class CnnTrace:
     probs: np.ndarray
 
 
+# filters drawn per block in ``init_cnn``: small enough that a block's draw is
+# cheap to hold beside the bank, large enough that the loop costs nothing
+_INIT_BLOCK = 16
+
+
 def init_cnn(embed_dim: int, classes: int, n_filters: int = 256, window: int = 3,
              hidden: int = 128, dropout: float = 0.1, seed=0) -> CnnParams:
-    """Glorot-uniform weights (conv fan-in is embed_dim * window), zero biases."""
+    """Glorot-uniform weights (conv fan-in is embed_dim * window), zero biases.
+
+    The filter bank takes the draws in filter-major (n_filters, embed_dim,
+    window) order, block by block, and stores each block transposed, so a
+    seed gives the same weights in either layout.
+    """
     if min(embed_dim, classes, n_filters, window, hidden) < 1:
         raise ValueError("all widths must be at least 1")
     if not 0.0 <= dropout < 1.0:
@@ -95,8 +105,13 @@ def init_cnn(embed_dim: int, classes: int, n_filters: int = 256, window: int = 3
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, shape)
 
+    filters = np.empty((embed_dim, window, n_filters))
+    for lo in range(0, n_filters, _INIT_BLOCK):
+        block = glorot(embed_dim * window, n_filters,
+                       (min(_INIT_BLOCK, n_filters - lo), embed_dim, window))
+        filters[:, :, lo:lo + len(block)] = block.transpose(1, 2, 0)
     return CnnParams(
-        filters=glorot(embed_dim * window, n_filters, (n_filters, embed_dim, window)),
+        filters=filters,
         conv_bias=np.zeros(n_filters),
         w_fc=glorot(n_filters, hidden, (n_filters, hidden)),
         b_fc=np.zeros(hidden),
@@ -110,7 +125,7 @@ def cnn_forward(params: CnnParams, x, train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, CnnTrace]:
     """Class distribution for one n-by-d sentence matrix."""
     x = np.asarray(x, dtype=np.float64)
-    conv_pre = conv1d_wgram(x, params.filters, params.conv_bias)
+    conv_pre = conv1d_wgram(x, params.filters.transpose(2, 0, 1), params.conv_bias)
     relu_out = relu(conv_pre)
     pooled, pool_argmax = max_pool_time(relu_out)
     fc_pre = pooled @ params.w_fc + params.b_fc
@@ -152,7 +167,7 @@ def cnn_backward(params: CnnParams, trace: CnnTrace, label: int) -> dict[str, np
     window = params.window
     # windows[t, j, k] = x[t + k, j]
     windows = np.lib.stride_tricks.sliding_window_view(trace.x, window, axis=0)
-    g_filters = np.einsum("ti,tjk->ijk", d_conv, windows, optimize=True)
+    g_filters = np.einsum("ti,tjk->jki", d_conv, windows, optimize=True)
     g_conv_bias = d_conv.sum(axis=0)
     return {
         "filters": g_filters,
@@ -212,7 +227,7 @@ def _grads_from_conv(params, conv_pre, labels, train, rng):
 def _dense_conv(params, xs):
     # windows[b, t, j, k] = xs[b, t + k, j]
     windows = np.lib.stride_tricks.sliding_window_view(xs, params.window, axis=1)
-    conv_pre = np.einsum("btjk,ijk->bti", windows, params.filters, optimize=True)
+    conv_pre = np.einsum("btjk,jki->bti", windows, params.filters, optimize=True)
     conv_pre += params.conv_bias
     return conv_pre, windows
 
@@ -233,46 +248,63 @@ def cnn_batch_grads(params: CnnParams, xs: np.ndarray, labels: np.ndarray,
     """
     conv_pre, windows = _dense_conv(params, xs)
     losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
-    grads["filters"] = np.einsum("bti,btjk->ijk", d_conv, windows, optimize=True)
+    grads["filters"] = np.einsum("bti,btjk->jki", d_conv, windows, optimize=True)
     if not want_dx:
         return losses, grads
     t_steps = conv_pre.shape[1]
     dx = np.zeros_like(xs)
     for k in range(params.window):
-        dx[:, k:k + t_steps, :] += d_conv @ params.filters[:, :, k]
+        # a C-contiguous (o, d) operand: a strided one moves the product's bits
+        dx[:, k:k + t_steps, :] += d_conv @ np.ascontiguousarray(params.filters[:, k, :].T)
     return losses, grads, dx
 
 
-# Hashed one-hot inputs: a one-hot row times the filter bank is a gather of
-# filter columns (the bank's embed axis), so sentences travel as index
+# Hashed one-hot inputs: a one-hot row times the filter bank is a read of one
+# bank row, a (window, n_filters) slice, so sentences travel as index
 # sequences (pad = -1), the convolution never materialises the one-hot
-# matrix and the filter gradient holds only the columns a batch touched.
+# matrix and the filter gradient holds only the rows a batch touched.
 
 
 def _hashed_conv(params, idx):
+    """Pre-ReLU convolution of a batch, and the distinct-row lookup it read:
+    ``(conv_pre, (slots, rows, pad))`` as ``tensor.row_table`` gives them."""
+    table, slots, rows, pad = row_table(params.filters, idx)
     t_steps = idx.shape[1] - params.window + 1
     conv_pre = np.zeros((idx.shape[0], t_steps, params.n_filters))
     for k in range(params.window):
-        conv_pre += gather_rows(params.filters[:, :, k], idx[:, k:k + t_steps], axis=1)
+        conv_pre += table[slots[:, k:k + t_steps], k]
     conv_pre += params.conv_bias
-    return conv_pre
+    return conv_pre, (slots, rows, pad)
+
+
+def _hashed_filter_grad(params, d_conv, lookup) -> RowGrad:
+    """The filter gradient of a hashed batch from the gradient at the
+    convolution output: for each offset k, each touched row's slice k sums
+    the d_conv rows of the windows that read it.
+
+    ``np.bincount`` adds each bin's terms in input order, as ``np.add.at``
+    does, so each entry is bit-for-bit a dense scatter-add of the batch.
+    """
+    slots, rows, pad = lookup
+    t_steps, width = d_conv.shape[1], params.n_filters
+    sums = np.empty((rows.size, params.window, width))
+    terms = d_conv.reshape(-1)
+    for k in range(params.window):
+        targets = (slots[:, k:k + t_steps, None] * width + np.arange(width)).reshape(-1)
+        sums[:, k, :] = np.bincount(targets, terms, rows.size * width).reshape(-1, width)
+    return RowGrad(rows[pad:], sums[pad:], params.filters.shape)
 
 
 def cnn_batch_probs_hashed(params: CnnParams, idx: np.ndarray) -> np.ndarray:
     """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    return _probs_from_conv(params, _hashed_conv(params, idx))
+    return _probs_from_conv(params, _hashed_conv(params, idx)[0])
 
 
 def cnn_batch_grads_hashed(params: CnnParams, idx: np.ndarray, labels: np.ndarray,
                            train: bool = True, rng: np.random.Generator | None = None):
     """Losses and mean gradients for hashed one-hot index sequences; the
-    filter gradient is a ``RowGrad`` over the embed axis."""
-    conv_pre = _hashed_conv(params, idx)
+    filter gradient is a ``RowGrad`` over the bank's embed rows."""
+    conv_pre, lookup = _hashed_conv(params, idx)
     losses, grads, d_conv = _grads_from_conv(params, conv_pre, labels, train, rng)
-    # d_gathered[b, s, :, k]: gradient at the column that position s feeds to offset k
-    t_steps = conv_pre.shape[1]
-    d_gathered = np.zeros((*idx.shape, params.n_filters, params.window))
-    for k in range(params.window):
-        d_gathered[:, k:k + t_steps, :, k] = d_conv
-    grads["filters"] = scatter_rows(d_gathered, idx, params.filters.shape, axis=1)
+    grads["filters"] = _hashed_filter_grad(params, d_conv, lookup)
     return losses, grads

@@ -160,5 +160,5 @@ def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
         grads[f"b{i}"] = dz.sum(axis=0)
         if i > 0:
             da = dz @ weights[i].T
-    grads["w0"] = RowGrad(rows, grads["w0"], 0, params.weights[0].shape)
+    grads["w0"] = RowGrad(rows, grads["w0"], params.weights[0].shape)
     return losses, grads

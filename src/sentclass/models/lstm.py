@@ -333,6 +333,6 @@ def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndar
 
     losses, g = _batch_grads(params, (gates, cells, hiddens), labels, train, rng, input_grad)
     wx = scatter_rows(gates, steps, (params.embed_dim, gates.shape[2]))
-    g_wx = {f"wx_{gate}": RowGrad(wx.rows, values, 0, params.wx_i.shape)
+    g_wx = {f"wx_{gate}": RowGrad(wx.rows, values, params.wx_i.shape)
             for gate, values in zip(_GATES, np.split(wx.values, 4, axis=1))}
     return losses, {**g_wx, **g}

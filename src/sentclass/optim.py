@@ -67,11 +67,11 @@ def adagrad_step(state: AdagradState, params: dict, grads: dict) -> None:
         g = grads[name]
         acc = state.accum[name]
         if isinstance(g, RowGrad):
-            at, g = g.index, g.values
-            acc_rows = acc[at]
+            rows, g = g.rows, g.values
+            acc_rows = acc[rows]
             acc_rows += g * g
-            acc[at] = acc_rows
-            p[at] -= rate * g / np.sqrt(acc_rows + state.eps)
+            acc[rows] = acc_rows
+            p[rows] -= rate * g / np.sqrt(acc_rows + state.eps)
         else:
             acc += g * g
             p -= rate * g / np.sqrt(acc + state.eps)
@@ -84,7 +84,7 @@ def sgd_step(params: dict, grads: dict, lr: float) -> None:
     for name, p in params.items():
         g = grads[name]
         if isinstance(g, RowGrad):
-            p[g.index] -= lr * g.values
+            p[g.rows] -= lr * g.values
         else:
             p -= lr * g
 

@@ -108,25 +108,19 @@ def softmax_rows(z) -> Tensor:
 class RowGrad:
     """Gradient of a ``shape`` tensor that is zero outside some of its rows.
 
-    A row is a slice along ``axis``; ``rows`` holds their sorted indices and
-    ``values`` the slices, the row axis at ``axis`` as in the full tensor.
+    A row is a slice along axis 0; ``rows`` holds their sorted indices and
+    ``values`` the slices, so ``full[g.rows]`` lines up with ``values``.
     ``np.asarray`` and indexing give the dense gradient; ``adagrad_step`` and
     ``sgd_step`` update only the rows.
     """
 
     rows: np.ndarray
     values: Tensor
-    axis: int
     shape: tuple
-
-    @property
-    def index(self) -> tuple:
-        """Index of the rows in a full tensor: ``full[g.index]`` lines up with ``values``."""
-        return (slice(None),) * self.axis + (self.rows,)
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape, dtype=dtype)
-        dense[self.index] = self.values
+        dense[self.rows] = self.values
         return dense
 
     def __getitem__(self, key):
@@ -141,19 +135,19 @@ def _distinct(idx):
     return rows, slots.reshape(idx.shape), int(rows.size > 0 and rows[0] < 0)
 
 
-def gather_rows(w, idx, axis=0) -> Tensor:
-    """Rows of ``w`` (slices along ``axis``) picked by an integer index array,
-    zero where the index is -1: the product of hashed one-hot rows, carried
-    as indices, with ``w``.
+def row_table(w, idx):
+    """``(table, slots, rows, pad)`` for reading the rows of ``w`` (slices
+    along axis 0) that an integer index array picks, -1 meaning a zero row.
 
-    ``w`` may also be a sequence of tensors with the same rows; their slices
-    are then read side by side, joined along the last axis.  The lookup table
-    holds only the distinct rows ``idx`` uses, plus a zero slot for padding.
-    The result has shape ``idx.shape`` followed by the other axes of ``w`` in
-    order, and is a fresh array.
+    ``rows`` are the sorted distinct indices and ``table`` a fresh copy of
+    those rows, ``table[:pad]`` being the zero slot of -1 when ``pad`` is 1;
+    ``slots`` gives each entry's row of ``table``, so ``table[slots]`` is the
+    gather.  ``w`` may also be a sequence of tensors with the same rows; their
+    rows are then read side by side, joined along the last axis.  A table
+    with no rows admits only -1.
     """
     rows, slots, pad = _distinct(idx)
-    parts = [np.moveaxis(t, axis, 0) for t in (w if isinstance(w, (list, tuple)) else (w,))]
+    parts = list(w) if isinstance(w, (list, tuple)) else [w]
     if not len(parts[0]):  # no row to read: pad is the only index there can be
         if rows.size > pad:
             raise IndexError(f"index {rows[pad]} is out of bounds for a table with no rows")
@@ -162,11 +156,23 @@ def gather_rows(w, idx, axis=0) -> Tensor:
     table = (parts[0][rows] if len(parts) == 1
              else np.concatenate([part[rows] for part in parts], axis=-1))
     table[:pad] = 0.0
+    return table, slots, rows, pad
+
+
+def gather_rows(w, idx) -> Tensor:
+    """Rows of ``w`` picked by an integer index array, zero where the index
+    is -1: the product of hashed one-hot rows, carried as indices, with ``w``.
+
+    ``w`` is a tensor or a sequence of tensors read side by side, as in
+    ``row_table``.  The result has shape ``idx.shape`` followed by the
+    table's other axes, and is a fresh array.
+    """
+    table, slots, _, _ = row_table(w, idx)
     return table[slots]
 
 
-def scatter_rows(values, idx, shape, axis=0) -> RowGrad:
-    """Gradient of ``gather_rows(w, idx, axis)`` for a ``shape`` tensor ``w``,
+def scatter_rows(values, idx, shape) -> RowGrad:
+    """Gradient of ``gather_rows(w, idx)`` for a ``shape`` tensor ``w``,
     given the gradient ``values`` of its result.
 
     The entries of ``values`` are summed per distinct index in input order
@@ -181,9 +187,7 @@ def scatter_rows(values, idx, shape, axis=0) -> RowGrad:
     targets = (slots.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     sums = np.zeros(rows.size * width)
     np.add.at(sums, targets, flat.reshape(-1))
-    rest = tuple(shape[:axis]) + tuple(shape[axis + 1:])
-    sums = sums.reshape(rows.size, *rest)[pad:]
-    return RowGrad(rows[pad:], np.moveaxis(sums, 0, axis), axis, tuple(shape))
+    return RowGrad(rows[pad:], sums.reshape(rows.size, *shape[1:])[pad:], tuple(shape))
 
 
 def max_pool_time(y):

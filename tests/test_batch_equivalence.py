@@ -12,6 +12,8 @@ import pytest
 
 import sentclass.models as M
 from sentclass.models.cnn import (
+    _grads_from_conv,
+    _hashed_conv,
     cnn_batch_grads,
     cnn_batch_grads_hashed,
     cnn_batch_probs,
@@ -203,6 +205,27 @@ class TestCnnHashedPath:
                                             labels, train=False)
         np.testing.assert_allclose(h_losses, d_losses, atol=1e-12)
         assert_grads_close(h_grads, d_grads)
+
+    def test_filter_grad_is_a_scatter_add_in_input_order(self):
+        # indices at several offsets of one window and in many windows, so
+        # each bin sums many terms and a change of order shows in the bits
+        rng = np.random.default_rng(12)
+        idx = rng.choice([3, 3, 5, 5, 0, 15, -1], size=(24, 8))
+        idx[0] = [3, 3, 3, 5, 3, -1, -1, -1]
+        labels = rng.integers(0, 3, size=24)
+        conv_pre, _ = _hashed_conv(self.params, idx)
+        _, _, d_conv = _grads_from_conv(self.params, conv_pre, labels, False, None)
+        _, grads = cnn_batch_grads_hashed(self.params, idx, labels, train=False)
+        g = grads["filters"]
+        t_steps, (_, window, o) = d_conv.shape[1], self.params.filters.shape
+        dense = np.zeros((self.dim + 1, window, o))  # last row: the padding slot
+        for k in range(window):
+            at = np.where(idx >= 0, idx, self.dim)[:, k:k + t_steps].reshape(-1)
+            np.add.at(dense[:, k, :], at, d_conv.reshape(-1, o))
+        assert isinstance(g, RowGrad) and g.shape == self.params.filters.shape
+        np.testing.assert_array_equal(g.rows, [0, 3, 5, 15])
+        assert np.array_equal(g.values, dense[g.rows])
+        assert np.array_equal(np.asarray(g), dense[:-1])
 
     def test_train_mode_streams_match(self):
         params = M.init_params(

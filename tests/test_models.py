@@ -78,7 +78,7 @@ class TestCnnForward:
             filters=np.array([
                 [[0.1, -0.1], [0.2, 0.3]],
                 [[-0.4, 0.5], [0.6, -0.2]],
-            ]),  # o=2, d=2, w=2
+            ]).transpose(1, 2, 0),  # given as o=2, d=2, w=2; stored (d, w, o)
             conv_bias=np.array([0.05, -0.1]),
             w_fc=np.array([[0.3, -0.5], [0.7, 0.2]]),
             b_fc=np.array([0.1, 0.0]),
@@ -89,7 +89,7 @@ class TestCnnForward:
 
     def test_zero_params_uniform(self):
         params = M.CnnParams(
-            filters=np.zeros((3, 2, 2)), conv_bias=np.zeros(3),
+            filters=np.zeros((2, 2, 3)), conv_bias=np.zeros(3),
             w_fc=np.zeros((3, 4)), b_fc=np.zeros(4),
             w_out=np.zeros((4, 5)), b_out=np.zeros(5), dropout=0.0,
         )
@@ -109,14 +109,14 @@ class TestCnnForward:
         probs, trace = M.cnn_forward(params, x)
         # convolution by explicit quadruple loop
         n, d = x.shape
-        o, _, w = params.filters.shape
+        _, w, o = params.filters.shape
         conv = np.zeros((n - w + 1, o))
         for t in range(n - w + 1):
             for i in range(o):
                 acc = params.conv_bias[i]
                 for j in range(d):
                     for k in range(w):
-                        acc += params.filters[i, j, k] * x[t + k, j]
+                        acc += params.filters[j, k, i] * x[t + k, j]
                 conv[t, i] = acc
         relud = np.maximum(conv, 0.0)
         pooled = [max(relud[:, i]) for i in range(o)]
@@ -143,7 +143,7 @@ class TestCnnForward:
         rng = np.random.default_rng(3)
         g = rng.uniform(0.1, 1.0, size=(3, 2))
         params = M.CnnParams(
-            filters=np.stack([g, g], axis=2),  # same slice at both offsets
+            filters=np.stack([g, g], axis=2).transpose(1, 2, 0),  # same slice at both offsets
             conv_bias=np.zeros(3),
             w_fc=rng.normal(size=(3, 4)), b_fc=rng.normal(size=4),
             w_out=rng.normal(size=(4, 2)), b_out=rng.normal(size=2),
@@ -307,6 +307,19 @@ class TestInitParams:
         bound = np.sqrt(6.0 / 200)
         assert abs(w.mean()) < 3 * (bound / np.sqrt(3)) / np.sqrt(w.size)
         assert np.all(np.abs(w) <= bound)
+
+    @pytest.mark.parametrize("n_filters", [16, 37])
+    def test_cnn_bank_is_the_filter_major_draw_transposed(self, n_filters):
+        # the bank is drawn in blocks of filters; 37 leaves a partial block
+        params = M.init_params(M.CnnSpec(embed_dim=7, classes=3, n_filters=n_filters,
+                                         window=3, hidden=4), 21)
+        rng = np.random.default_rng(21)
+        bound = np.sqrt(6.0 / (7 * 3 + n_filters))
+        draw = rng.uniform(-bound, bound, (n_filters, 7, 3))
+        assert params.filters.shape == (7, 3, n_filters) and params.filters.flags.c_contiguous
+        assert np.array_equal(params.filters, draw.transpose(1, 2, 0))
+        bound = np.sqrt(6.0 / (n_filters + 4))
+        assert np.array_equal(params.w_fc, rng.uniform(-bound, bound, (n_filters, 4)))
 
     def test_glorot_bound_per_layer(self):
         params = M.init_params(M.CnnSpec(embed_dim=4, classes=3, n_filters=8,

@@ -1,7 +1,9 @@
 """Training-loop contracts, encoders, curve files, tables, checkpoints, evaluation."""
 
+import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +36,10 @@ from sentclass.harness.run import (
     _batch_functions,
 )
 from sentclass.harness.synth import corpus_tokens, write_embeddings_file
+from sentclass.harness.cli import main
 from sentclass.models.checkpoint import (
     MAGIC,
+    MAGIC_V1,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
@@ -306,6 +310,20 @@ class TestHashedEncoder:
         out = self.rows(["a", PAD_TOKEN, "b"], 8)
         np.testing.assert_array_equal(out.sum(axis=1), [1.0, 0.0, 1.0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(sentences=st.lists(st.lists(st.sampled_from(["a", "b", "cc", "déjà", "x y", PAD_TOKEN])
+                                       | st.text(max_size=4), max_size=9), max_size=6),
+           max_len=st.integers(1, 6), dim=st.integers(2, 40))
+    @example(sentences=[[], [PAD_TOKEN] * 3, ["a", PAD_TOKEN, "a", "b"] * 3], max_len=4, dim=2)
+    def test_property_batch_is_the_stacked_oracle_rows(self, sentences, max_len, dim):
+        # empty, padded and over-long sentences; one hash per distinct token
+        # per call must give the rows ``indices`` gives one by one
+        encoder = HashedSequenceEncoder(dim, max_len)
+        got = encoder.encode_many(Dataset([(0, tokens) for tokens in sentences], ["a"]))
+        want = np.array([encoder.indices(tokens) for tokens in sentences],
+                        dtype=np.int64).reshape(len(sentences), max_len)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_collision_rows_identical(self):
         # find two distinct tokens colliding at dim 2 via the hash oracle
         base = "tok0"
@@ -571,6 +589,75 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:-9])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+class TestCheckpointV1:
+    """Format v1 stored the CNN bank (filters, embed, window); v2 stores it
+    (embed, window, filters) and reads v1 files too."""
+
+    # written by the v1 writer: `sentclass train` on a three-label TSV corpus
+    # with arch=cnn encoding=onehot dim=64 filters=4 window=2 hidden=4
+    # epochs=40 max_len=6 seed=5 batch=8 lr=0.1 dropout=0
+    V1_CNN = Path(__file__).parent / "fixtures" / "cnn-v1.ckpt"
+    # sentences the v1 model labelled, and the labels the v1 reader gave them
+    LINES = ["where is the big city", "how many of the old", "who was a person",
+             "the of a", "where city how many who person", "unseen words only here"]
+    LABELS = ["loc", "num", "hum", "loc", "hum", "loc"]
+
+    def predicted(self, path, capsys, monkeypatch):
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{x}\n" for x in self.LINES)))
+        assert main(["predict", "--checkpoint", str(path)]) == 0
+        return capsys.readouterr().out.split()
+
+    def test_v1_bank_is_read_transposed(self):
+        blob = self.V1_CNN.read_bytes()
+        magic, header, body = blob.split(b"\n", 2)
+        assert magic + b"\n" == MAGIC_V1
+        name, shape = json.loads(header)["fields"][0]
+        assert name == "filters" and shape == [4, 64, 2]
+        stored = np.frombuffer(body[:8 * int(np.prod(shape))], dtype="<f8").reshape(shape)
+        params, _ = load_checkpoint(self.V1_CNN)
+        assert params.filters.flags.c_contiguous
+        assert np.array_equal(params.filters, stored.transpose(1, 2, 0))
+
+    def test_v2_round_trip_keeps_tensors_and_labels(self, tmp_path, capsys, monkeypatch):
+        params, meta = load_checkpoint(self.V1_CNN)
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(path, params, meta)
+        assert path.read_bytes().startswith(MAGIC)
+        again, again_meta = load_checkpoint(path)
+        assert again_meta == meta and again.dropout == params.dropout
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(tensor, again.tensors()[name])
+        assert self.predicted(self.V1_CNN, capsys, monkeypatch) == self.LABELS
+        assert self.predicted(path, capsys, monkeypatch) == self.LABELS
+
+    @pytest.mark.parametrize("spec", [
+        M.FnnSpec((6, 4, 3)),
+        M.RnnSpec(embed_dim=4, classes=3, hidden=5),
+        M.LstmSpec(embed_dim=4, classes=3, hidden=5),
+    ], ids=["fnn", "rnn", "lstm"])
+    def test_other_families_differ_in_the_magic_line_only(self, tmp_path, spec):
+        params = M.init_params(spec, 2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {"labels": ["a", "b", "c"]})
+        path.write_bytes(MAGIC_V1 + path.read_bytes()[len(MAGIC):])
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"labels": ["a", "b", "c"]}
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(loaded.tensors()[name], tensor)
+
+    @pytest.mark.parametrize("shape,problem", [
+        ([2 ** 40, 2 ** 20], "truncated tensor 'w0'"),  # more bytes than the file holds
+        ([0, 2 ** 70], "tensor 'w0'"),                  # no bytes, but no array either
+    ], ids=["beyond-the-file", "unindexable"])
+    def test_claimed_shape_is_checked_before_allocating(self, tmp_path, shape, problem):
+        header = {"arch": "fnn", "fields": [["w0", shape], ["b0", [2]]]}
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + bytes(80))
+        with pytest.raises(CheckpointError, match=problem):
             load_checkpoint(path)
 
 
