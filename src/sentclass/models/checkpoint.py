@@ -7,9 +7,13 @@ order.  Metadata values that are arrays follow the parameters in the same
 encoding, listed under the header's ``arrays`` key.  Writing and re-reading
 a checkpoint is bit-exact.
 
-Format v2 stores the CNN filter bank as (embed, window, filters).  The reader
-also takes v1 files, whose bank is (filters, embed, window), and transposes
-it; for the other families v1 and v2 differ in the magic line only.
+Format v3 stores the LSTM's four gates side by side: ``wx`` (embed, 4h),
+``wh`` (hidden, 4h) and ``b`` (4h), in ``lstm._GATES`` order.  The reader
+also takes v1 and v2 files, whose LSTM has twelve per-gate tensors
+(``wx_i`` ... ``b_g``), and sets each kind's four side by side.  Format v2
+stores the CNN filter bank as (embed, window, filters); v1 stored it
+(filters, embed, window), and the reader transposes it.  For fnn and rnn
+the three formats differ in the magic line only.
 """
 
 import json
@@ -19,8 +23,10 @@ import os
 import numpy as np
 
 from . import FAMILIES, ModelParams
+from .lstm import _GATES
 
-MAGIC = b"#sentclass-checkpoint-v2\n"
+MAGIC = b"#sentclass-checkpoint-v3\n"
+MAGIC_V2 = b"#sentclass-checkpoint-v2\n"
 MAGIC_V1 = b"#sentclass-checkpoint-v1\n"
 
 
@@ -59,7 +65,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint back into a parameter set and its metadata."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic not in (MAGIC, MAGIC_V1):
+        if magic not in (MAGIC, MAGIC_V2, MAGIC_V1):
             raise CheckpointError(f"{path}: not a checkpoint file")
         header_line = fh.readline()
         try:
@@ -76,6 +82,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         for key, value in (("fields", fields), ("arrays", arrays)):
             if not (isinstance(value, list) and all(_is_field(f) for f in value)):
                 raise CheckpointError(f"{path}: header {key} are not a list of [name, shape] pairs")
+        if len({name for name, _ in fields}) != len(fields):
+            raise CheckpointError(f"{path}: header fields repeat a name")
         hyper, meta = header.get("hyper", {}), header.get("meta", {})
         if not (isinstance(hyper, dict) and isinstance(meta, dict)):
             raise CheckpointError(f"{path}: header hyper and meta must be JSON objects")
@@ -87,11 +95,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if magic == MAGIC_V1 and arch == "cnn" and np.ndim(tensors.get("filters")) == 3:
         # v1 stored the bank (filters, embed, window)
         tensors["filters"] = np.ascontiguousarray(tensors["filters"].transpose(1, 2, 0))
+    if magic != MAGIC and arch == "lstm":
+        tensors = _gates_side_by_side(tensors, path)
     try:
         params = family.params.from_tensors(tensors, **hyper)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: tensors do not make {arch} parameters: {exc!r}") from None
-    names = sorted(name for name, _ in fields)
+    names = sorted(tensors)
     if sorted(params.tensors()) != names:
         raise CheckpointError(f"{path}: tensors {names} do not make {arch} parameters")
     problem = _shape_problem(params)
@@ -115,6 +125,22 @@ def _read_tensors(fh, fields, path) -> dict[str, np.ndarray]:
         if fh.readinto(tensor.reshape(-1).view(np.uint8)) != size:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         tensors[name] = tensor
+    return tensors
+
+
+def _gates_side_by_side(tensors, path) -> dict[str, np.ndarray]:
+    """A v1/v2 LSTM's twelve per-gate tensors as v3's ``wx``, ``wh`` and ``b``."""
+    tensors = dict(tensors)
+    for kind in ("wx", "wh", "b"):
+        names = [f"{kind}_{gate}" for gate in _GATES]
+        if kind in tensors or not all(name in tensors for name in names):
+            raise CheckpointError(f"{path}: a v1/v2 lstm file holds the tensors {names} "
+                                  f"and no {kind!r}")
+        gates = [tensors.pop(name) for name in names]
+        if len({g.shape for g in gates}) > 1 or not gates[0].ndim:
+            raise CheckpointError(f"{path}: lstm tensors {names} have shapes "
+                                  f"{[list(g.shape) for g in gates]}, not one shape of rank >= 1")
+        tensors[kind] = np.concatenate(gates, axis=-1)
     return tensors
 
 

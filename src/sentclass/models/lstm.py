@@ -10,20 +10,27 @@ Per step, from x_t, h_{t-1} and c_{t-1}:
     h_t    = gate_o * tanh(c_t)
 
 The last hidden state feeds the same dropout-plus-linear-softmax head as
-the simple recurrent model.  Backpropagation through time is exact.  The
-batched kernels hold a batch's gates in one C-contiguous (n, B, 4h) buffer in
-``_GATES`` order: it starts as the input projections and each step overwrites
-its slice in place with the gate values, which backpropagation then reads.
+the simple recurrent model.  Backpropagation through time is exact.
+
+The four gates are stored side by side in ``_GATES`` order: ``wx`` is
+(d, 4h), ``wh`` (h, 4h) and ``b`` (4h), and gate k owns columns k*h to
+(k+1)*h of each.  The batched kernels hold a batch's gates in one
+C-contiguous (n, B, 4h) buffer.  It starts as the input projections; each
+step adds one (B, h)@(h, 4h) recurrent product and overwrites its slice with
+the gate values; backpropagation reads them and overwrites the spent slice
+with that step's pre-activation gradients, from which one product per step
+gives the gradient of h_{t-1}.  The weight gradients are then products over
+all steps at once: ``wh``'s with K = (n-1)B, ``wx``'s with K = nB (or one
+row scatter for hashed rows).
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (RowGrad, ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid,
-                      softmax, softmax_rows)
+from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
+                      softmax_rows)
 from .head import head_grads
 
 _GATES = ("i", "f", "o", "g")
@@ -32,58 +39,45 @@ _GATES = ("i", "f", "o", "g")
 @dataclass
 class LstmParams:
     arch: ClassVar[str] = "lstm"
-    wx_i: np.ndarray  # (embed_dim, hidden) per gate
-    wh_i: np.ndarray  # (hidden, hidden) per gate
-    b_i: np.ndarray
-    wx_f: np.ndarray
-    wh_f: np.ndarray
-    b_f: np.ndarray
-    wx_o: np.ndarray
-    wh_o: np.ndarray
-    b_o: np.ndarray
-    wx_g: np.ndarray
-    wh_g: np.ndarray
-    b_g: np.ndarray
+    wx: np.ndarray  # (embed_dim, 4 * hidden), the gates side by side in _GATES order
+    wh: np.ndarray  # (hidden, 4 * hidden)
+    b: np.ndarray  # (4 * hidden,)
     w_head: np.ndarray  # (hidden, classes)
     b_head: np.ndarray
     dropout: float = 0.1
 
+    def __post_init__(self):
+        # dims() names the gate axis, but cannot say that it is four hidden widths
+        shape = np.shape(self.wh)
+        if len(shape) == 2 and shape[1] != 4 * shape[0]:
+            raise ShapeError(f"tensor 'wh' has shape {list(shape)}: "
+                             f"its gate axis must be 4 x hidden = {4 * shape[0]}")
+
     @property
     def hidden(self) -> int:
-        return self.wh_i.shape[0]
+        return self.wh.shape[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.wx_i.shape[0]
+        return self.wx.shape[0]
 
     @property
     def classes(self) -> int:
         return self.w_head.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for gate in _GATES:
-            out[f"wx_{gate}"] = getattr(self, f"wx_{gate}")
-            out[f"wh_{gate}"] = getattr(self, f"wh_{gate}")
-            out[f"b_{gate}"] = getattr(self, f"b_{gate}")
-        out["w_head"] = self.w_head
-        out["b_head"] = self.b_head
-        return out
+        return {"wx": self.wx, "wh": self.wh, "b": self.b,
+                "w_head": self.w_head, "b_head": self.b_head}
 
     def dims(self) -> dict[str, tuple[str, ...]]:
         """Each tensor's axes by name; axes with one name have one size."""
-        out = {}
-        for gate in _GATES:
-            out[f"wx_{gate}"] = ("embed", "hidden")
-            out[f"wh_{gate}"] = ("hidden", "hidden")
-            out[f"b_{gate}"] = ("hidden",)
-        return {**out, "w_head": ("hidden", "classes"), "b_head": ("classes",)}
+        return {"wx": ("embed", "gates"), "wh": ("hidden", "gates"), "b": ("gates",),
+                "w_head": ("hidden", "classes"), "b_head": ("classes",)}
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "LstmParams":
-        return cls(dropout=dropout, **{k: tensors[k] for k in
-                                       [f"{p}_{g}" for g in _GATES for p in ("wx", "wh", "b")]
-                                       + ["w_head", "b_head"]})
+        return cls(dropout=dropout,
+                   **{k: tensors[k] for k in ("wx", "wh", "b", "w_head", "b_head")})
 
 
 @dataclass
@@ -103,7 +97,10 @@ class LstmTrace:
 
 def init_lstm(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0.1,
               seed=0) -> LstmParams:
-    """Glorot-uniform gate weights; biases zero except the forget gate at 1."""
+    """Glorot-uniform gate weights; biases zero except the forget gate at 1.
+
+    Each gate's (d, h) and (h, h) blocks are drawn in turn, in ``_GATES``
+    order, into its columns of ``wx`` and ``wh``."""
     if min(embed_dim, classes, hidden) < 1:
         raise ValueError("all widths must be at least 1")
     if not 0.0 <= dropout < 1.0:
@@ -114,15 +111,15 @@ def init_lstm(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, shape)
 
-    fields = {}
-    for gate in _GATES:
-        fields[f"wx_{gate}"] = glorot(embed_dim, hidden, (embed_dim, hidden))
-        fields[f"wh_{gate}"] = glorot(hidden, hidden, (hidden, hidden))
-        # forget-gate bias of 1 keeps early memory open, the rest start at 0
-        fields[f"b_{gate}"] = np.ones(hidden) if gate == "f" else np.zeros(hidden)
-    fields["w_head"] = glorot(hidden, classes, (hidden, classes))
-    fields["b_head"] = np.zeros(classes)
-    return LstmParams(dropout=dropout, **fields)
+    wx, wh = np.empty((embed_dim, 4 * hidden)), np.empty((hidden, 4 * hidden))
+    for wx_gate, wh_gate in zip(np.split(wx, 4, axis=1), np.split(wh, 4, axis=1)):
+        wx_gate[...] = glorot(embed_dim, hidden, (embed_dim, hidden))
+        wh_gate[...] = glorot(hidden, hidden, (hidden, hidden))
+    b = np.zeros(4 * hidden)
+    b[hidden:2 * hidden] = 1.0  # a forget-gate bias of 1 keeps early memory open
+    w_head = glorot(hidden, classes, (hidden, classes))
+    return LstmParams(wx=wx, wh=wh, b=b, w_head=w_head, b_head=np.zeros(classes),
+                      dropout=dropout)
 
 
 def lstm_forward(params: LstmParams, x, train: bool = False,
@@ -135,6 +132,9 @@ def lstm_forward(params: LstmParams, x, train: bool = False,
         raise ShapeError(f"input width {x.shape[1]} does not match embed dim {params.embed_dim}")
     n = x.shape[0]
     hid = params.hidden
+    wx_i, wx_f, wx_o, wx_g = np.split(params.wx, 4, axis=1)
+    wh_i, wh_f, wh_o, wh_g = np.split(params.wh, 4, axis=1)
+    b_i, b_f, b_o, b_g = np.split(params.b, 4)
     gate_i = np.zeros((n, hid))
     gate_f = np.zeros((n, hid))
     gate_o = np.zeros((n, hid))
@@ -145,10 +145,10 @@ def lstm_forward(params: LstmParams, x, train: bool = False,
     c = np.zeros(hid)
     for t in range(n):
         xt = x[t]
-        gate_i[t] = sigmoid(xt @ params.wx_i + h @ params.wh_i + params.b_i)
-        gate_f[t] = sigmoid(xt @ params.wx_f + h @ params.wh_f + params.b_f)
-        gate_o[t] = sigmoid(xt @ params.wx_o + h @ params.wh_o + params.b_o)
-        cand[t] = np.tanh(xt @ params.wx_g + h @ params.wh_g + params.b_g)
+        gate_i[t] = sigmoid(xt @ wx_i + h @ wh_i + b_i)
+        gate_f[t] = sigmoid(xt @ wx_f + h @ wh_f + b_f)
+        gate_o[t] = sigmoid(xt @ wx_o + h @ wh_o + b_o)
+        cand[t] = np.tanh(xt @ wx_g + h @ wh_g + b_g)
         c = gate_i[t] * cand[t] + gate_f[t] * c
         cell[t] = c
         h = gate_o[t] * np.tanh(c)
@@ -177,6 +177,9 @@ def lstm_backward(params: LstmParams, trace: LstmTrace, label: int) -> dict[str,
     g = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     g["w_head"] = np.outer(trace.head_in, dlogits)
     g["b_head"] = dlogits
+    # each gate's gradient accumulates in its columns of the side-by-side tensors
+    g_wx, g_wh, g_b = (np.split(g[name], 4, axis=-1) for name in ("wx", "wh", "b"))
+    wh = np.split(params.wh, 4, axis=1)
     dh = params.w_head @ dlogits
     if trace.drop_mask is not None:
         dh = dh * trace.drop_mask
@@ -192,64 +195,43 @@ def lstm_backward(params: LstmParams, trace: LstmTrace, label: int) -> dict[str,
         d_u = dc * i_t
         d_f = dc * c_prev
         dc_next = dc * f_t
-        dpre_i = d_i * i_t * (1.0 - i_t)
-        dpre_f = d_f * f_t * (1.0 - f_t)
-        dpre_o = d_o * o_t * (1.0 - o_t)
-        dpre_u = d_u * (1.0 - u_t * u_t)
+        dpres = (d_i * i_t * (1.0 - i_t), d_f * f_t * (1.0 - f_t),
+                 d_o * o_t * (1.0 - o_t), d_u * (1.0 - u_t * u_t))
         xt = trace.x[t]
-        for gate, dpre in zip(_GATES, (dpre_i, dpre_f, dpre_o, dpre_u)):
-            g[f"wx_{gate}"] += np.outer(xt, dpre)
-            g[f"wh_{gate}"] += np.outer(h_prev, dpre)
-            g[f"b_{gate}"] += dpre
-        dh = (params.wh_i @ dpre_i + params.wh_f @ dpre_f
-              + params.wh_o @ dpre_o + params.wh_g @ dpre_u)
+        for k, dpre in enumerate(dpres):
+            g_wx[k] += np.outer(xt, dpre)
+            g_wh[k] += np.outer(h_prev, dpre)
+            g_b[k] += dpre
+        dh = wh[0] @ dpres[0] + wh[1] @ dpres[1] + wh[2] @ dpres[2] + wh[3] @ dpres[3]
         dc = dc_next
     return g
 
 
-def _gate_tensors(params, prefix):
-    return [getattr(params, f"{prefix}_{gate}") for gate in _GATES]
-
-
 def _input_projections(params, xs):
-    """x_t Wx for every step and gate, as a fresh gate buffer.  Each gate's einsum is
-    copied in: laid out (h, B, n), its step slices would read the hidden axis B*n
-    entries apart, and a time-major product would not give the same bits."""
-    b, n, _ = xs.shape
-    out = np.empty((n, b, 4 * params.hidden))
-    for cols, wx in zip(np.split(out, 4, axis=2), _gate_tensors(params, "wx")):
-        cols[...] = np.einsum("bnd,dh->nbh", xs, wx, optimize=True)
-    return out
-
-
-def _backprop(dpres, weights):
-    # sum over the gates of dpre @ W.T, added in _GATES order
-    return reduce(np.add, [dpre @ w.T for dpre, w in zip(dpres, weights)])
+    """x_t Wx for every step, as a fresh (n, B, 4h) gate buffer: one (B, d)@(d, 4h)
+    product per step, reading ``xs[:, t]`` in place and writing its slice."""
+    return np.matmul(xs.transpose(1, 0, 2), params.wx)
 
 
 def _batch_cell(params, gates):
-    """Run the cell from zero state over the gate buffer ``gates``; each step overwrites
-    its slice with logistic i, f, o and the tanh candidate.  Returns ``(gates, cells,
-    hiddens)``.  Each gate's recurrent product goes into its own columns: one
-    (B, h)@(h, 4h) product does not give the same bits at every width."""
+    """Run the cell from zero state over the gate buffer ``gates``; each step adds
+    its recurrent product and the bias to its slice, then overwrites it with
+    logistic i, f, o and the tanh candidate.  Returns ``(gates, cells, hiddens)``."""
     n, b, width = gates.shape
     hid = width // 4
-    wh = _gate_tensors(params, "wh")
-    bias = np.concatenate(_gate_tensors(params, "b"))
     cells, hiddens = np.empty((2, n, b, hid))
-    h = c = np.zeros((b, hid))
+    c = np.zeros((b, hid))
     recurrent = np.empty((b, width))
     for t in range(n):
-        for w, cols in zip(wh, np.split(recurrent, 4, axis=1)):
-            np.matmul(h, w, out=cols)
         z = gates[t]
-        z += recurrent
-        z += bias
+        if t:  # h_0 is the zero state
+            z += np.matmul(hiddens[t - 1], params.wh, out=recurrent)
+        z += params.b
         sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
         np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
         gate_i, gate_f, gate_o, cand = np.split(z, 4, axis=1)
         c = np.add(gate_i * cand, gate_f * c, out=cells[t])
-        h = np.multiply(gate_o, np.tanh(c), out=hiddens[t])
+        np.multiply(gate_o, np.tanh(c), out=hiddens[t])
     return gates, cells, hiddens
 
 
@@ -261,24 +243,23 @@ def lstm_batch_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
 
 def lstm_batch_probs_hashed(params: LstmParams, idx: np.ndarray) -> np.ndarray:
     """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    *_, hiddens = _batch_cell(params, gather_rows(_gate_tensors(params, "wx"), idx.T))
+    *_, hiddens = _batch_cell(params, gather_rows(params.wx, idx.T))
     return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
 
 
-def _batch_grads(params, states, labels, train, rng, input_grad):
-    """Losses and the gradients of every tensor but the ``wx_*`` from the ``_batch_cell``
-    states.  BPTT hands each step's pre-activation gradients, in ``_GATES`` order and
-    last step first, to ``input_grad(t, dpres)``, and reads that step's gates no more."""
+def _batch_grads(params, states, labels, train, rng):
+    """Losses and the gradients of every tensor but ``wx`` from the ``_batch_cell``
+    states.  BPTT overwrites each step's slot of the gate buffer with that step's
+    pre-activation gradients, in ``_GATES`` order, once it has read the gates
+    there; the buffer then holds them all for the ``wx`` gradient."""
     gates, cells, hiddens = states
     n, b, hid = cells.shape
-    wh = _gate_tensors(params, "wh")
-    g_wh = [np.zeros_like(w) for w in wh]
-    g_b = [np.zeros(hid) for _ in _GATES]
     losses, g_w_head, g_b_head, dh = head_grads(
         hiddens[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     dc = np.zeros((b, hid))
     for t in reversed(range(n)):
-        i_t, f_t, o_t, u_t = np.split(gates[t], 4, axis=1)
+        z = gates[t]
+        i_t, f_t, o_t, u_t = np.split(z, 4, axis=1)
         tc_t = np.tanh(cells[t])
         c_prev = cells[t - 1] if t > 0 else np.zeros_like(dc)
         d_o = dh * tc_t
@@ -286,53 +267,35 @@ def _batch_grads(params, states, labels, train, rng, input_grad):
         dpres = (dc * u_t * i_t * (1.0 - i_t), dc * c_prev * f_t * (1.0 - f_t),
                  d_o * o_t * (1.0 - o_t), dc * i_t * (1.0 - u_t * u_t))
         dc = dc * f_t
-        input_grad(t, dpres)
-        for g, dpre in zip(g_b, dpres):
-            g += dpre.sum(axis=0)
-        if t == 0:
-            break  # h_0 is the zero state: nothing left to propagate to
-        for g, dpre in zip(g_wh, dpres):
-            g += hiddens[t - 1].T @ dpre
-        dh = _backprop(dpres, wh)
-    grads = {f"{kind}_{gate}": g for kind, gs in (("wh", g_wh), ("b", g_b))
-             for gate, g in zip(_GATES, gs)}
-    return losses, {**grads, "w_head": g_w_head, "b_head": g_b_head}
+        np.concatenate(dpres, axis=1, out=z)
+        if t:  # h_0 is the zero state: nothing left to propagate to
+            dh = z @ params.wh.T
+    dpre = gates.reshape(n * b, -1)
+    g_wh = hiddens[:-1].reshape(-1, hid).T @ dpre[b:]
+    return losses, {"wh": g_wh, "b": dpre.sum(axis=0), "w_head": g_w_head, "b_head": g_b_head}
 
 
 def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
                      train: bool = True, rng: np.random.Generator | None = None,
                      want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    wx = _gate_tensors(params, "wx")
-    g_wx = [np.zeros_like(w) for w in wx]
-    dx = np.empty_like(xs) if want_dx else None
-
-    def input_grad(t, dpres):
-        xt = xs[:, t, :]
-        for g, dpre in zip(g_wx, dpres):
-            g += xt.T @ dpre
-        if want_dx:
-            dx[:, t, :] = _backprop(dpres, wx)
-
-    states = _batch_cell(params, _input_projections(params, xs))
-    losses, g = _batch_grads(params, states, labels, train, rng, input_grad)
-    g = {**{f"wx_{gate}": g_w for gate, g_w in zip(_GATES, g_wx)}, **g}
-    return (losses, g, dx) if want_dx else (losses, g)
+    gates = _input_projections(params, xs)
+    losses, g = _batch_grads(params, _batch_cell(params, gates), labels, train, rng)
+    n, b, _ = gates.shape
+    dpre = gates.reshape(n * b, -1)
+    g = {"wx": xs.transpose(1, 0, 2).reshape(n * b, -1).T @ dpre, **g}
+    if not want_dx:
+        return losses, g
+    dx = (dpre @ params.wx.T).reshape(n, b, -1).transpose(1, 0, 2)
+    return losses, g, np.ascontiguousarray(dx)
 
 
 def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndarray,
                             train: bool = True, rng: np.random.Generator | None = None):
-    """Losses and mean gradients for hashed one-hot index sequences (B, n):
-    the input projections are one row gather from the four ``wx_*`` side by
-    side, their gradients ``RowGrad``s from one scatter."""
+    """Losses and mean gradients for hashed one-hot index sequences (B, n): the
+    input projections are one row gather from ``wx``, its gradient one
+    ``RowGrad`` from one scatter."""
     steps = idx.T
-    gates, cells, hiddens = _batch_cell(params, gather_rows(_gate_tensors(params, "wx"), steps))
-
-    def input_grad(t, dpres):  # a spent step's gate slot keeps its gradients
-        np.concatenate(dpres, axis=1, out=gates[t])
-
-    losses, g = _batch_grads(params, (gates, cells, hiddens), labels, train, rng, input_grad)
-    wx = scatter_rows(gates, steps, (params.embed_dim, gates.shape[2]))
-    g_wx = {f"wx_{gate}": RowGrad(wx.rows, values, params.wx_i.shape)
-            for gate, values in zip(_GATES, np.split(wx.values, 4, axis=1))}
-    return losses, {**g_wx, **g}
+    gates = gather_rows(params.wx, steps)
+    losses, g = _batch_grads(params, _batch_cell(params, gates), labels, train, rng)
+    return losses, {"wx": scatter_rows(gates, steps, params.wx.shape), **g}

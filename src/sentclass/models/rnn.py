@@ -155,7 +155,9 @@ def rnn_backward(params: RnnParams, trace: RnnTrace, label: int) -> dict[str, np
 
 def _input_projection(params, xs):
     """x_t W_in for every step, as a C-contiguous (n, B, hidden) copy of the
-    einsum, whose product is laid out (h, B, n) (see ``lstm._input_projections``)."""
+    einsum, whose product is laid out (h, B, n): its step slices would read the
+    hidden axis B*n entries apart, and a product written time-major would not
+    give the same bits."""
     return np.ascontiguousarray(np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
 
 

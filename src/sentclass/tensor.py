@@ -142,19 +142,14 @@ def row_table(w, idx):
     ``rows`` are the sorted distinct indices and ``table`` a fresh copy of
     those rows, ``table[:pad]`` being the zero slot of -1 when ``pad`` is 1;
     ``slots`` gives each entry's row of ``table``, so ``table[slots]`` is the
-    gather.  ``w`` may also be a sequence of tensors with the same rows; their
-    rows are then read side by side, joined along the last axis.  A table
-    with no rows admits only -1.
+    gather.  A table with no rows admits only -1.
     """
     rows, slots, pad = _distinct(idx)
-    parts = list(w) if isinstance(w, (list, tuple)) else [w]
-    if not len(parts[0]):  # no row to read: pad is the only index there can be
+    if not len(w):  # no row to read: pad is the only index there can be
         if rows.size > pad:
             raise IndexError(f"index {rows[pad]} is out of bounds for a table with no rows")
-        parts = [np.zeros((1, *part.shape[1:])) for part in parts]
-    # copies the used rows only; the pad slot reads the last row and is zeroed
-    table = (parts[0][rows] if len(parts) == 1
-             else np.concatenate([part[rows] for part in parts], axis=-1))
+        w = np.zeros((1, *w.shape[1:]))
+    table = w[rows]  # copies the used rows only; the pad slot reads the last row, zeroed below
     table[:pad] = 0.0
     return table, slots, rows, pad
 
@@ -163,9 +158,8 @@ def gather_rows(w, idx) -> Tensor:
     """Rows of ``w`` picked by an integer index array, zero where the index
     is -1: the product of hashed one-hot rows, carried as indices, with ``w``.
 
-    ``w`` is a tensor or a sequence of tensors read side by side, as in
-    ``row_table``.  The result has shape ``idx.shape`` followed by the
-    table's other axes, and is a fresh array.
+    The result has shape ``idx.shape`` followed by the other axes of ``w``,
+    and is a fresh array.
     """
     table, slots, _, _ = row_table(w, idx)
     return table[slots]

@@ -425,3 +425,66 @@ class TestKernelsLeaveTheirInputs:
         arrays = [*params.tensors().values(), idx, encoder.matrix]
         self.assert_untouched(arrays, lambda: probs_fn(params, idx))
         self.assert_untouched(arrays, lambda: grads_fn(params, idx, labels, make_rng(4)))
+
+
+# (batch, steps, hidden) at which one product over the four gates, or one over
+# all steps, does not give the bits of per-gate, per-step products
+LSTM_FUSED_SHAPES = [(1, 4, 17), (2, 4, 17), (7, 4, 17), (33, 4, 17),
+                     (1, 5, 2), (1, 5, 3), (1, 5, 5), (1, 5, 6), (33, 20, 17)]
+
+
+@pytest.mark.parametrize("batch,steps,hidden", LSTM_FUSED_SHAPES,
+                         ids=[f"B{b}-n{n}-h{h}" for b, n, h in LSTM_FUSED_SHAPES])
+class TestLstmFusedShapes:
+    """Both LSTM routes against the per-example oracle (1e-12) and central
+    differences (criterion 1's 1e-4) where the fused products move bits."""
+
+    DIM = 6
+
+    def case(self, batch, steps, hidden):
+        params = M.init_params(M.LstmSpec(embed_dim=self.DIM, classes=3, hidden=hidden,
+                                          dropout=0.0), hidden)
+        rng = np.random.default_rng(batch * 100 + steps)
+        idx = random_indices(rng, batch, steps, self.DIM)
+        return params, idx, rng.integers(0, 3, size=batch)
+
+    def test_routes_match_per_example(self, batch, steps, hidden):
+        params, idx, labels = self.case(batch, steps, hidden)
+        xs = np.random.default_rng(1).normal(size=(*idx.shape, self.DIM))
+        for route, batch_in, inputs, probs, grads in (
+                ("dense", xs, xs, lstm_batch_probs, lstm_batch_grads),
+                ("hashed", idx, densify(idx, self.DIM), lstm_batch_probs_hashed,
+                 lstm_batch_grads_hashed)):
+            for got, x in zip(probs(params, batch_in), inputs):
+                np.testing.assert_allclose(got, M.lstm_forward(params, x)[0], atol=1e-12)
+            losses_ref, want = mean_reference_grads(params, inputs, labels)
+            losses, got = grads(params, batch_in, labels, train=False)
+            np.testing.assert_allclose(losses, losses_ref, atol=1e-12, err_msg=route)
+            assert_grads_close(got, want)
+
+    def test_grads_by_finite_differences(self, batch, steps, hidden):
+        params, idx, labels = self.case(batch, steps, hidden)
+        xs = np.random.default_rng(2).normal(size=(*idx.shape, self.DIM))
+        for route, batch_in, grads in (("dense", xs, lstm_batch_grads),
+                                       ("hashed", idx, lstm_batch_grads_hashed)):
+            def loss_fn():
+                return float(grads(params, batch_in, labels, train=False)[0].mean())
+
+            def grad_fn():
+                return {k: np.asarray(g) for k, g in grads(params, batch_in, labels,
+                                                           train=False)[1].items()}
+
+            worst = grad_check(loss_fn, grad_fn, params.tensors(), max_coords=120)
+            assert worst < 1e-4, route
+
+    def test_input_grads_by_finite_differences(self, batch, steps, hidden):
+        params, idx, labels = self.case(batch, steps, hidden)
+        xs = np.random.default_rng(3).normal(size=(*idx.shape, self.DIM))
+
+        def loss_fn():
+            return float(lstm_batch_grads(params, xs, labels, train=False)[0].mean())
+
+        def grad_fn():
+            return {"xs": lstm_batch_grads(params, xs, labels, train=False, want_dx=True)[2]}
+
+        assert grad_check(loss_fn, grad_fn, {"xs": xs}, max_coords=120) < 1e-4

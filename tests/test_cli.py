@@ -1,6 +1,7 @@
 """Command-line flows and exit codes."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from sentclass.harness.data import Dataset, write_tsv
 from sentclass.harness.run import _EVAL_CHUNK, load_curve
 from sentclass.embeddings import load_text_vectors
 from sentclass.harness.synth import write_embeddings_file
-from sentclass.models.checkpoint import load_checkpoint, save_checkpoint
+from sentclass.models.checkpoint import MAGIC, MAGIC_V2, load_checkpoint, save_checkpoint
+
+
+# the twelve per-gate tensor shapes of a v1/v2 lstm checkpoint (embed 32, hidden 4)
+LEGACY_LSTM = {f"{kind}_{gate}": shape for gate in "ifog"
+               for kind, shape in (("wx", (32, 4)), ("wh", (4, 4)), ("b", (4,)))}
 
 
 @pytest.fixture()
@@ -210,6 +216,25 @@ class TestEvalAndPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
         assert main(["predict", "--checkpoint", str(path)]) == 2
         assert "w_head" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("magic,shapes,problem", [
+        (MAGIC, {"wx": (32, 20), "wh": (4, 20), "b": (20,)}, "4 x hidden"),
+        (MAGIC_V2, {k: v for k, v in LEGACY_LSTM.items() if k != "wh_o"}, "no 'wh'"),
+        (MAGIC_V2, {**LEGACY_LSTM, "wx_g": (32, 5)}, "have shapes"),
+    ], ids=["v3-gate-axis", "v2-missing-gate", "v2-gate-shapes"])
+    def test_broken_lstm_checkpoints_are_data_error(self, corpus_file, tmp_path, capsys,
+                                                    magic, shapes, problem):
+        tensors = {name: np.zeros(shape) for name, shape in shapes.items()}
+        tensors.update(w_head=np.zeros((4, 2)), b_head=np.zeros(2))
+        header = {"arch": "lstm", "fields": [[k, list(t.shape)] for k, t in tensors.items()],
+                  "meta": {"labels": ["alpha", "beta"], "encoding": "onehot", "dim": 32,
+                           "max_len": 6}}
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(magic + json.dumps(header).encode() + b"\n"
+                         + b"".join(t.astype("<f8").tobytes() for t in tensors.values()))
+        args = ["eval", "--checkpoint", str(path), "--test", str(corpus_file), "--format", "tsv"]
+        assert main(args) == 2
+        assert problem in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [
         M.FnnSpec((32, 4, 2)),

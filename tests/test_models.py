@@ -204,13 +204,8 @@ class TestRnnForward:
 
 class TestLstmForward:
     def zero_params(self, d=3, h=4, k=2):
-        fields = {}
-        for gate in ("i", "f", "o", "g"):
-            fields[f"wx_{gate}"] = np.zeros((d, h))
-            fields[f"wh_{gate}"] = np.zeros((h, h))
-            fields[f"b_{gate}"] = np.zeros(h)
-        return M.LstmParams(w_head=np.zeros((h, k)), b_head=np.zeros(k),
-                            dropout=0.0, **fields)
+        return M.LstmParams(wx=np.zeros((d, 4 * h)), wh=np.zeros((h, 4 * h)), b=np.zeros(4 * h),
+                            w_head=np.zeros((h, k)), b_head=np.zeros(k), dropout=0.0)
 
     def test_all_zero_parameters_collapse(self):
         params = self.zero_params()
@@ -224,23 +219,25 @@ class TestLstmForward:
 
     def test_saturated_gates_carry_memory(self):
         params = self.zero_params()
-        params.b_f[:] = 50.0   # forget gate pinned at 1
-        params.b_i[:] = -50.0  # input gate pinned at 0
+        b_i, b_f, _, _ = np.split(params.b, 4)
+        b_f[:] = 50.0   # forget gate pinned at 1
+        b_i[:] = -50.0  # input gate pinned at 0
         _, trace = M.lstm_forward(params, np.random.default_rng(2).normal(size=(6, 3)))
         # cell starts at zero and nothing can be written
         assert np.max(np.abs(trace.cell)) < 1e-12
 
     def test_hand_trace_two_steps(self):
         d, h = 1, 2
-        fields = {}
         vals = {
             "wx_i": [[0.3, -0.2]], "wh_i": [[0.1, 0.0], [0.2, -0.1]], "b_i": [0.05, 0.0],
             "wx_f": [[-0.4, 0.25]], "wh_f": [[0.0, 0.3], [-0.2, 0.1]], "b_f": [1.0, 1.0],
             "wx_o": [[0.5, 0.1]], "wh_o": [[0.2, 0.2], [0.0, -0.3]], "b_o": [0.0, -0.05],
             "wx_g": [[-0.1, 0.6]], "wh_g": [[0.4, -0.4], [0.1, 0.1]], "b_g": [0.0, 0.2],
         }
-        for name, v in vals.items():
-            fields[name] = np.array(v, dtype=float)
+        # the stored tensors hold the gates side by side, in i, f, o, g order
+        fields = {kind: np.concatenate([np.array(vals[f"{kind}_{gate}"], dtype=float)
+                                        for gate in "ifog"], axis=-1)
+                  for kind in ("wx", "wh", "b")}
         params = M.LstmParams(w_head=np.array([[1.0, -0.5], [0.25, 0.75]]),
                               b_head=np.array([0.1, -0.1]), dropout=0.0, **fields)
         x = np.array([[0.8], [-1.2]])
@@ -274,10 +271,12 @@ class TestLstmForward:
         params = M.init_params(M.LstmSpec(embed_dim=2, classes=3, hidden=3, dropout=0.0), 9)
         x = np.random.default_rng(4).normal(size=(1, 2))
         _, trace = M.lstm_forward(params, x)
-        gi = 1.0 / (1.0 + np.exp(-(x[0] @ params.wx_i + params.b_i)))
-        gf = 1.0 / (1.0 + np.exp(-(x[0] @ params.wx_f + params.b_f)))
-        go = 1.0 / (1.0 + np.exp(-(x[0] @ params.wx_o + params.b_o)))
-        gu = np.tanh(x[0] @ params.wx_g + params.b_g)
+        wx_i, wx_f, wx_o, wx_g = np.split(params.wx, 4, axis=1)
+        b_i, b_f, b_o, b_g = np.split(params.b, 4)
+        gi = 1.0 / (1.0 + np.exp(-(x[0] @ wx_i + b_i)))
+        gf = 1.0 / (1.0 + np.exp(-(x[0] @ wx_f + b_f)))
+        go = 1.0 / (1.0 + np.exp(-(x[0] @ wx_o + b_o)))
+        gu = np.tanh(x[0] @ wx_g + b_g)
         c1 = gi * gu  # forget term vanishes against the zero initial cell
         np.testing.assert_allclose(trace.cell[0], c1, atol=1e-12)
         np.testing.assert_allclose(trace.hiddens[0], go * np.tanh(c1), atol=1e-12)
@@ -290,11 +289,27 @@ class TestInitParams:
         for name, tensor in a.tensors().items():
             np.testing.assert_array_equal(tensor, b.tensors()[name])
 
+    def test_lstm_gates_drawn_in_turn_then_set_side_by_side(self):
+        # each gate's blocks are drawn in i, f, o, g order, as separate
+        # per-gate tensors were, so a seed gives the same weights
+        params = M.init_params(M.LstmSpec(embed_dim=3, classes=2, hidden=4), 7)
+        rng = np.random.default_rng(7)
+        wx, wh = [], []
+        for _ in range(4):
+            wx.append(rng.uniform(-np.sqrt(6 / 7), np.sqrt(6 / 7), (3, 4)))
+            wh.append(rng.uniform(-np.sqrt(6 / 8), np.sqrt(6 / 8), (4, 4)))
+        w_head = rng.uniform(-1.0, 1.0, (4, 2))
+        assert np.array_equal(params.wx, np.concatenate(wx, axis=1))
+        assert np.array_equal(params.wh, np.concatenate(wh, axis=1))
+        assert np.array_equal(params.w_head, w_head)
+        assert params.wx.flags.c_contiguous and params.wh.flags.c_contiguous
+
     def test_biases_zero_except_forget_gate(self):
         params = M.init_params(M.LstmSpec(embed_dim=3, classes=2, hidden=4), 0)
-        np.testing.assert_array_equal(params.b_f, np.ones(4))
-        for name in ("b_i", "b_o", "b_g", "b_head"):
-            np.testing.assert_array_equal(params.tensors()[name], 0.0)
+        b_i, b_f, b_o, b_g = np.split(params.b, 4)
+        np.testing.assert_array_equal(b_f, np.ones(4))
+        for bias in (b_i, b_o, b_g, params.b_head):
+            np.testing.assert_array_equal(bias, 0.0)
         cnn = M.init_params(M.CnnSpec(embed_dim=3, classes=2), 0)
         for name in ("conv_bias", "b_fc", "b_out"):
             np.testing.assert_array_equal(cnn.tensors()[name], 0.0)

@@ -312,12 +312,15 @@ class TestGatherRows:
             gather_rows(np.zeros(shape), np.array([[0, -1]]))
 
     def test_tables_side_by_side(self):
+        # a table of column blocks side by side (the LSTM's gates) gathers
+        # into the gathers of its blocks, side by side
         rng = np.random.default_rng(45)
         tables = [rng.normal(size=(9, k)) for k in (2, 3, 2)]
         idx = np.array([[4, -1, 0], [8, 4, -1]])
-        got = gather_rows(tables, idx)
-        assert same_bits(got, gather_rows(np.concatenate(tables, axis=1), idx))
-        assert same_bits(gather_rows([t[:0] for t in tables], np.array([[-1]])),
+        got = gather_rows(np.concatenate(tables, axis=1), idx)
+        assert same_bits(got, np.concatenate([gather_rows(t, idx) for t in tables], axis=2))
+        assert same_bits(gather_rows(np.concatenate([t[:0] for t in tables], axis=1),
+                                     np.array([[-1]])),
                          np.zeros((1, 1, 7)))
 
     def test_index_below_pad_is_refused(self):

@@ -40,12 +40,13 @@ from sentclass.harness.cli import main
 from sentclass.models.checkpoint import (
     MAGIC,
     MAGIC_V1,
+    MAGIC_V2,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
 from sentclass.optim import cross_entropy, lbfgs_minimize
-from sentclass.tensor import gather_rows
+from sentclass.tensor import ShapeError, gather_rows
 from sentclass.text import PAD_TOKEN, build_vocabulary, count_vector, hash_index, pad_or_truncate
 
 VALID_PAIRS = [(arch, encoding) for arch in ARCHS for encoding in ENCODINGS
@@ -559,14 +560,14 @@ class TestCheckpoints:
         (M.FnnSpec((6, 4, 3)), "w1", (5, 3)),
         (M.CnnSpec(embed_dim=4, classes=3, n_filters=5, window=2, hidden=4), "w_fc", (6, 4)),
         (M.RnnSpec(embed_dim=4, classes=3, hidden=4), "w_head", (5, 3)),
-        (M.LstmSpec(embed_dim=4, classes=3, hidden=5), "wx_o", (4, 6)),
+        (M.LstmSpec(embed_dim=4, classes=3, hidden=5), "b", (24,)),
     ], ids=["fnn", "cnn", "rnn", "lstm"])
     def test_disagreeing_tensor_shapes_detected(self, tmp_path, spec, name, shape):
         params = M.init_params(spec, 0)
         params = type(params).from_tensors({**params.tensors(), name: np.zeros(shape)})
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, {})
-        with pytest.raises(CheckpointError, match=name):
+        with pytest.raises(CheckpointError, match=f"'{name}'"):
             load_checkpoint(path)
 
     def test_array_metadata_round_trips_bit_exact(self, tmp_path):
@@ -593,8 +594,8 @@ class TestCheckpoints:
 
 
 class TestCheckpointV1:
-    """Format v1 stored the CNN bank (filters, embed, window); v2 stores it
-    (embed, window, filters) and reads v1 files too."""
+    """Format v1 stored the CNN bank (filters, embed, window); v2 and v3
+    store it (embed, window, filters) and read v1 files too."""
 
     # written by the v1 writer: `sentclass train` on a three-label TSV corpus
     # with arch=cnn encoding=onehot dim=64 filters=4 window=2 hidden=4
@@ -637,17 +638,17 @@ class TestCheckpointV1:
     @pytest.mark.parametrize("spec", [
         M.FnnSpec((6, 4, 3)),
         M.RnnSpec(embed_dim=4, classes=3, hidden=5),
-        M.LstmSpec(embed_dim=4, classes=3, hidden=5),
-    ], ids=["fnn", "rnn", "lstm"])
+    ], ids=["fnn", "rnn"])
     def test_other_families_differ_in_the_magic_line_only(self, tmp_path, spec):
         params = M.init_params(spec, 2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, {"labels": ["a", "b", "c"]})
-        path.write_bytes(MAGIC_V1 + path.read_bytes()[len(MAGIC):])
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"labels": ["a", "b", "c"]}
-        for name, tensor in params.tensors().items():
-            assert np.array_equal(loaded.tensors()[name], tensor)
+        for magic in (MAGIC_V1, MAGIC_V2):
+            path.write_bytes(magic + path.read_bytes()[len(MAGIC):])
+            loaded, meta = load_checkpoint(path)
+            assert meta == {"labels": ["a", "b", "c"]}
+            for name, tensor in params.tensors().items():
+                assert np.array_equal(loaded.tensors()[name], tensor)
 
     @pytest.mark.parametrize("shape,problem", [
         ([2 ** 40, 2 ** 20], "truncated tensor 'w0'"),  # more bytes than the file holds
@@ -658,6 +659,110 @@ class TestCheckpointV1:
         path = tmp_path / "model.ckpt"
         path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + bytes(80))
         with pytest.raises(CheckpointError, match=problem):
+            load_checkpoint(path)
+
+
+def per_gate(params):
+    """The twelve per-gate LSTM tensors of formats v1 and v2, in their field order."""
+    columns = {kind: np.split(params.tensors()[kind], 4, axis=-1) for kind in ("wx", "wh", "b")}
+    tensors = {f"{kind}_{gate}": np.ascontiguousarray(columns[kind][k])
+               for k, gate in enumerate("ifog") for kind in ("wx", "wh", "b")}
+    return {**tensors, "w_head": params.w_head, "b_head": params.b_head}
+
+
+def write_raw_checkpoint(path, magic, arch, tensors, meta=None):
+    header = {"arch": arch, "fields": [[name, list(t.shape)] for name, t in tensors.items()],
+              "hyper": {"dropout": 0.0}, "meta": meta or {}}
+    path.write_bytes(magic + json.dumps(header).encode() + b"\n"
+                     + b"".join(np.asarray(t, dtype="<f8").tobytes() for t in tensors.values()))
+
+
+class TestCheckpointV3:
+    """Format v3 stores the LSTM gates side by side (``wx``, ``wh``, ``b``);
+    v1 and v2 stored twelve per-gate tensors, and the reader sets each
+    kind's four side by side."""
+
+    # written by the v2 writer: `sentclass train` on a three-label TSV corpus
+    # with arch=lstm encoding=onehot dim=64 hidden=4 epochs=40 max_len=6
+    # seed=5 batch=8 lr=0.1 dropout=0
+    V2_LSTM = Path(__file__).parent / "fixtures" / "lstm-v2.ckpt"
+    LINES = TestCheckpointV1.LINES
+    # the labels the v2 reader and kernels gave those sentences
+    LABELS = ["loc", "num", "hum", "num", "loc", "hum"]
+    predicted = TestCheckpointV1.predicted
+
+    def stored(self):
+        blob = self.V2_LSTM.read_bytes()
+        magic, header, body = blob.split(b"\n", 2)
+        assert magic + b"\n" == MAGIC_V2
+        tensors, at = {}, 0
+        for name, shape in json.loads(header)["fields"]:
+            size = int(np.prod(shape))
+            tensors[name] = np.frombuffer(body[at:at + 8 * size], dtype="<f8").reshape(shape)
+            at += 8 * size
+        return tensors
+
+    def test_v2_gates_are_read_side_by_side(self):
+        stored = self.stored()
+        params, _ = load_checkpoint(self.V2_LSTM)
+        for kind in ("wx", "wh", "b"):
+            want = np.concatenate([stored[f"{kind}_{gate}"] for gate in "ifog"], axis=-1)
+            assert np.array_equal(getattr(params, kind), want)
+            assert getattr(params, kind).flags.c_contiguous
+        assert np.array_equal(params.w_head, stored["w_head"])
+        assert np.array_equal(params.b_head, stored["b_head"])
+
+    def test_v2_labels_survive_the_v3_round_trip(self, tmp_path, capsys, monkeypatch):
+        params, meta = load_checkpoint(self.V2_LSTM)
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(path, params, meta)
+        assert path.read_bytes().startswith(b"#sentclass-checkpoint-v3\n")
+        assert self.predicted(self.V2_LSTM, capsys, monkeypatch) == self.LABELS
+        assert self.predicted(path, capsys, monkeypatch) == self.LABELS
+
+    @pytest.mark.parametrize("magic", [MAGIC_V1, MAGIC_V2], ids=["v1", "v2"])
+    def test_per_gate_files_convert(self, tmp_path, magic):
+        params = M.init_params(M.LstmSpec(embed_dim=4, classes=3, hidden=5), 2)
+        path = tmp_path / "model.ckpt"
+        write_raw_checkpoint(path, magic, "lstm", per_gate(params), {"labels": ["a", "b", "c"]})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"labels": ["a", "b", "c"]}
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(loaded.tensors()[name], tensor)
+
+    @pytest.mark.parametrize("change,problem", [
+        ({"wh_o": None}, "no 'wh'"),                              # a gate missing
+        ({"wx": np.zeros((4, 20))}, "no 'wx'"),                   # a v3 tensor as well
+        ({"wx_f": np.zeros((4, 6))}, "have shapes"),              # widths disagree
+        ({"wx_g": np.zeros((3, 5))}, "have shapes"),              # input widths disagree
+        ({f"b_{g}": np.zeros(()) for g in "ifog"}, "rank >= 1"),  # nothing to set side by side
+    ], ids=["missing", "v3-name", "gate-width", "embed-width", "scalar"])
+    def test_broken_per_gate_files_are_refused(self, tmp_path, change, problem):
+        tensors = per_gate(M.init_params(M.LstmSpec(embed_dim=4, classes=3, hidden=5), 2))
+        tensors.update(change)
+        tensors = {name: t for name, t in tensors.items() if t is not None}
+        path = tmp_path / "model.ckpt"
+        write_raw_checkpoint(path, MAGIC_V2, "lstm", tensors)
+        with pytest.raises(CheckpointError, match=problem):
+            load_checkpoint(path)
+
+    def test_gate_axis_must_be_four_hidden_widths(self, tmp_path):
+        # every tensor agrees on a gate axis of 24, but hidden 5 needs 20
+        params = M.init_params(M.LstmSpec(embed_dim=4, classes=3, hidden=5), 2)
+        tensors = {**params.tensors(), "wx": np.zeros((4, 24)), "wh": np.zeros((5, 24)),
+                   "b": np.zeros(24)}
+        with pytest.raises(ShapeError, match="4 x hidden"):
+            M.LstmParams.from_tensors(tensors)
+        path = tmp_path / "model.ckpt"
+        write_raw_checkpoint(path, MAGIC, "lstm", tensors)
+        with pytest.raises(CheckpointError, match="4 x hidden"):
+            load_checkpoint(path)
+        # per-gate (5, 6) recurrent blocks set side by side make the same wh
+        legacy = {f"{kind}_{gate}": np.zeros(shape) for gate in "ifog"
+                  for kind, shape in (("wx", (4, 6)), ("wh", (5, 6)), ("b", (6,)))}
+        write_raw_checkpoint(path, MAGIC_V2, "lstm",
+                             {**legacy, "w_head": np.zeros((5, 3)), "b_head": np.zeros(3)})
+        with pytest.raises(CheckpointError, match="4 x hidden"):
             load_checkpoint(path)
 
 
