@@ -77,8 +77,9 @@ class Family:
     take hashed one-hot index sequences (pad = -1) and return the gradient of
     the weights those rows multiply as a ``tensor.RowGrad``.  The fnn's
     ``probs``/``grads`` take hashed count index rows (pad = -1, a repeated
-    index is a count) and give ``w0`` a ``RowGrad``.  ``input_axis`` names
-    the axis, in ``params.dims()``, that an input row's width sizes.
+    index is a count) and give ``w0`` a ``RowGrad``.  ``input_table`` names
+    the tensor whose axis 0 an input row's width sizes: the rows that
+    hashed inputs pick.
     """
 
     params: type
@@ -89,22 +90,22 @@ class Family:
     grads: Callable
     forward: Callable
     backward: Callable
+    input_table: str
     hashed_probs: Callable | None = None
     hashed_grads: Callable | None = None
-    input_axis: str = "embed"
 
 
 FAMILIES = {
     "fnn": Family(FnnParams, FnnSpec, FnnTrace, init_fnn, fnn_batch_probs,
-                  fnn_batch_loss_grads, fnn_forward, fnn_backward, input_axis="width 0"),
+                  fnn_batch_loss_grads, fnn_forward, fnn_backward, "w0"),
     "cnn": Family(CnnParams, CnnSpec, CnnTrace, init_cnn, cnn_batch_probs,
-                  cnn_batch_grads, cnn_forward, cnn_backward,
+                  cnn_batch_grads, cnn_forward, cnn_backward, "filters",
                   cnn_batch_probs_hashed, cnn_batch_grads_hashed),
     "rnn": Family(RnnParams, RnnSpec, RnnTrace, init_rnn, rnn_batch_probs,
-                  rnn_batch_grads, rnn_forward, rnn_backward,
+                  rnn_batch_grads, rnn_forward, rnn_backward, "w_in",
                   rnn_batch_probs_hashed, rnn_batch_grads_hashed),
     "lstm": Family(LstmParams, LstmSpec, LstmTrace, init_lstm, lstm_batch_probs,
-                   lstm_batch_grads, lstm_forward, lstm_backward,
+                   lstm_batch_grads, lstm_forward, lstm_backward, "wx",
                    lstm_batch_probs_hashed, lstm_batch_grads_hashed),
 }
 
@@ -123,10 +124,7 @@ def init_params(spec, seed) -> ModelParams:
 
 def input_width(params: ModelParams) -> int:
     """Width of the input rows ``params`` read (one-hot, count or embedding)."""
-    axis = _family(params).input_axis
-    tensors = params.tensors()
-    return next(tensors[name].shape[axes.index(axis)]
-                for name, axes in params.dims().items() if axis in axes)
+    return params.tensors()[_family(params).input_table].shape[0]
 
 
 def forward(params: ModelParams, x, train: bool = False,

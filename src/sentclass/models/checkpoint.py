@@ -7,6 +7,15 @@ order.  Metadata values that are arrays follow the parameters in the same
 encoding, listed under the header's ``arrays`` key.  Writing and re-reading
 a checkpoint is bit-exact.
 
+The writer pads the header line with spaces before its newline, so the
+tensors start on a 64-byte boundary, and writes a temporary file in the
+same directory that replaces ``path`` only once it is complete.  For a model
+on hashed inputs (``meta.encoding`` onehot or counts) the reader maps the
+input table (``Family.input_table``) into memory copy-on-write instead of
+reading it: a batch that gathers a few of its rows touches only their pages,
+and writes to the array never reach the file.  Every other tensor, and any
+tensor of a v1/v2 file or at an offset that is not 8-byte aligned, is read.
+
 Format v3 stores the LSTM's four gates side by side: ``wx`` (embed, 4h),
 ``wh`` (hidden, 4h) and ``b`` (4h), in ``lstm._GATES`` order.  The reader
 also takes v1 and v2 files, whose LSTM has twelve per-gate tensors
@@ -18,7 +27,9 @@ the three formats differ in the magic line only.
 
 import json
 import math
+import mmap
 import os
+import secrets
 
 import numpy as np
 
@@ -28,6 +39,9 @@ from .lstm import _GATES
 MAGIC = b"#sentclass-checkpoint-v3\n"
 MAGIC_V2 = b"#sentclass-checkpoint-v2\n"
 MAGIC_V1 = b"#sentclass-checkpoint-v1\n"
+ALIGN = 64  # byte boundary the tensors start on
+# encodings whose inputs pick rows of the input table rather than multiply all of it
+_HASHED = ("onehot", "counts")
 
 
 class CheckpointError(ValueError):
@@ -53,12 +67,23 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
     }
     if arrays:
         header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for tensor in (*tensors.values(), *arrays.values()):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    head = MAGIC + json.dumps(header, sort_keys=True).encode("utf-8")
+    head += b" " * (-(len(head) + 1) % ALIGN) + b"\n"
+    # a process may have ``path`` mapped: replace the file, never write into it.
+    # open(..., "xb") gives the file the umask's mode, where mkstemp's is 0600.
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(head)
+            for tensor in (*tensors.values(), *arrays.values()):
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -87,7 +112,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         hyper, meta = header.get("hyper", {}), header.get("meta", {})
         if not (isinstance(hyper, dict) and isinstance(meta, dict)):
             raise CheckpointError(f"{path}: header hyper and meta must be JSON objects")
-        tensors = _read_tensors(fh, fields, path)
+        hashed = magic == MAGIC and meta.get("encoding") in _HASHED
+        tensors = _read_tensors(fh, fields, path, family.input_table if hashed else None)
         meta.update(_read_tensors(fh, arrays, path))
         trailing = fh.read(1)
         if trailing:
@@ -110,14 +136,19 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     return params, meta
 
 
-def _read_tensors(fh, fields, path) -> dict[str, np.ndarray]:
-    """Each field's tensor, read from ``fh`` straight into its own array."""
+def _read_tensors(fh, fields, path, mapped=None) -> dict[str, np.ndarray]:
+    """Each field's tensor, read from ``fh`` straight into its own array;
+    the field named ``mapped`` is mapped instead, when it can be."""
     tensors = {}
     for name, shape in fields:
         size = 8 * math.prod(shape)
-        # a header can claim any shape: allocate no more than the file holds
+        # a header can claim any shape: allocate or map no more than the file holds
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        tensor = _mapped(fh, shape, size) if name == mapped else None
+        if tensor is not None:
+            tensors[name] = tensor
+            continue
         try:
             tensor = np.empty(shape, dtype="<f8")
         except ValueError as exc:  # a dimension numpy cannot index
@@ -126,6 +157,21 @@ def _read_tensors(fh, fields, path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         tensors[name] = tensor
     return tensors
+
+
+def _mapped(fh, shape, size) -> np.ndarray | None:
+    """The tensor of ``shape`` at ``fh``'s position as a private copy-on-write
+    map of the file, ``fh`` moved past it; None where it cannot be mapped."""
+    at = fh.tell()
+    if not size or at % 8:
+        return None
+    start = at - at % mmap.ALLOCATIONGRANULARITY  # a map's offset is granule-aligned
+    try:
+        view = mmap.mmap(fh.fileno(), at + size - start, offset=start, access=mmap.ACCESS_COPY)
+    except (OSError, ValueError):  # no mmap here, or the file shrank since the size check
+        return None
+    fh.seek(size, os.SEEK_CUR)
+    return np.frombuffer(view, dtype="<f8", count=size // 8, offset=at - start).reshape(shape)
 
 
 def _gates_side_by_side(tensors, path) -> dict[str, np.ndarray]:

@@ -200,7 +200,9 @@ def _unpool_batch(shape, argmax, d_pooled):
 
 
 def _probs_from_conv(params, conv_pre):
-    pooled, _ = _pool_batch(np.maximum(conv_pre, 0.0))
+    # max commutes with ReLU, and np.maximum(x, 0.0) never gives -0.0: the
+    # same bits as _pool_batch without the argmax that only backward needs
+    pooled = np.maximum(conv_pre.max(axis=1), 0.0)
     fc_act = np.maximum(pooled @ params.w_fc + params.b_fc, 0.0)
     return softmax_rows(fc_act @ params.w_out + params.b_out)
 

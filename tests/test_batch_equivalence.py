@@ -14,6 +14,8 @@ import sentclass.models as M
 from sentclass.models.cnn import (
     _grads_from_conv,
     _hashed_conv,
+    _pool_batch,
+    _probs_from_conv,
     cnn_batch_grads,
     cnn_batch_grads_hashed,
     cnn_batch_probs,
@@ -27,7 +29,7 @@ from sentclass.models.rnn import (rnn_batch_grads, rnn_batch_grads_hashed, rnn_b
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import CountEncoder
 from sentclass.optim import cross_entropy, grad_check
-from sentclass.tensor import RowGrad, make_rng
+from sentclass.tensor import RowGrad, make_rng, softmax_rows
 from sentclass.text import build_vocabulary, count_vector
 
 
@@ -158,6 +160,24 @@ class TestCnnBatch:
                                           train=True, rng=make_rng(99))
         np.testing.assert_allclose(got_losses, losses_ref, atol=1e-12)
         assert_grads_close(got, want)
+
+    def test_eval_pooling_is_bit_identical_to_the_argmax_route(self):
+        # ties, signed zeros and a NaN: max then ReLU gives the bits that the
+        # training path's argmax and take_along_axis give after ReLU
+        rng = np.random.default_rng(8)
+        conv_pre = rng.integers(-2, 3, size=(6, 5, 5)).astype(float)
+        conv_pre[conv_pre == 0] = -0.0
+        conv_pre[0, 2, 1] = np.nan
+        conv_pre[1, :, 3] = -0.0
+        conv_pre[2, :, 0] = [0.0, -0.0, 0.0, -0.0, -1.0]
+        conv_pre[3, :, 2] = [-0.0, 0.0, -0.0, 0.0, -2.0]
+        conv_pre[4, :, 4] = 2.0
+        pooled, _ = _pool_batch(np.maximum(conv_pre, 0.0))
+        p = self.params
+        want = softmax_rows(np.maximum(pooled @ p.w_fc + p.b_fc, 0.0) @ p.w_out + p.b_out)
+        got = _probs_from_conv(p, conv_pre)
+        assert np.isnan(got[0]).all() and not np.isnan(got[1:]).any()
+        assert got.tobytes() == want.tobytes()
 
     def test_input_gradient_by_finite_differences(self):
         losses, grads, dx = cnn_batch_grads(self.params, self.xs, self.labels,

@@ -8,7 +8,6 @@ import pytest
 
 import sentclass.models as M
 from sentclass.harness.cli import main
-from sentclass.harness.data import Dataset, write_tsv
 from sentclass.harness.run import _EVAL_CHUNK, load_curve
 from sentclass.embeddings import load_text_vectors
 from sentclass.harness.synth import write_embeddings_file
@@ -18,20 +17,6 @@ from sentclass.models.checkpoint import MAGIC, MAGIC_V2, load_checkpoint, save_c
 # the twelve per-gate tensor shapes of a v1/v2 lstm checkpoint (embed 32, hidden 4)
 LEGACY_LSTM = {f"{kind}_{gate}": shape for gate in "ifog"
                for kind, shape in (("wx", (32, 4)), ("wh", (4, 4)), ("b", (4,)))}
-
-
-@pytest.fixture()
-def corpus_file(tmp_path):
-    rng = np.random.default_rng(0)
-    examples = []
-    for i in range(40):
-        cls = i % 2
-        tokens = [f"cue{cls}", f"cue{cls}"] \
-            + [f"pad{int(j)}" for j in rng.integers(0, 5, size=3)]
-        examples.append((cls, tokens))
-    path = tmp_path / "corpus.tsv"
-    write_tsv(Dataset(examples, ["alpha", "beta"]), path)
-    return path
 
 
 def train_args(corpus_file, out_dir, *extra):
