@@ -1,4 +1,4 @@
-"""Pre-trained word vectors: text and binary loaders, sequence lookup.
+"""Pre-trained word vectors: text and binary loaders and the token-to-vector table.
 
 Text format: one entry per line, token followed by d space-separated
 decimal floats, UTF-8.  Binary format: ASCII header ``<vocab_count> <dim>\\n``
@@ -175,12 +175,3 @@ def load_binary_vectors(path) -> EmbeddingTable:
             entries.setdefault(token, vec)
     return EmbeddingTable(dim=dim, entries=entries)
 
-
-def lookup_matrix(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
-    """Stack embedding rows for a token sequence into an n-by-d matrix."""
-    if not tokens:
-        raise ValueError("token sequence is empty")
-    out = np.zeros((len(tokens), table.dim), dtype=np.float64)
-    for i, token in enumerate(tokens):
-        out[i] = table.vector(token)
-    return out

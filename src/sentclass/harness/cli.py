@@ -305,7 +305,12 @@ def _parse_grid(path, base: dict) -> list[tuple[str, dict]]:
                 if not eq:
                     raise ConfigError(
                         f"{path}: line {lineno}: expected key=value, got {pair!r}")
-                entry[key] = coerce_config_value(key, value)
+                try:
+                    entry[key] = coerce_config_value(key, value)
+                except ConfigError:
+                    raise
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from None
             entries.append((name, entry))
     if not entries:
         raise ConfigError(f"{path}: grid file defines no runs")

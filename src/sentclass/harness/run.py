@@ -5,28 +5,21 @@ shuffling and dropout all draw from generators spawned off the run seed, so
 identical invocations produce identical checkpoints and learning curves.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .. import models
-from ..embeddings import (
-    OOV_RANDOM,
-    OOV_ZERO,
-    load_binary_vectors,
-    load_text_vectors,
-    lookup_matrix,
-)
+from ..embeddings import OOV_RANDOM, OOV_ZERO, load_binary_vectors, load_text_vectors
 from ..optim import AdagradState, adagrad_step, lbfgs_minimize, sgd_step
 from ..tensor import gather_rows, scatter_rows
 from ..text import (
     PAD_TOKEN,
     Vocabulary,
     build_vocabulary,
-    count_vector,
     hash_index,
-    pad_or_truncate,
     undecodable,
 )
 from .data import Dataset, align_labels
@@ -112,6 +105,15 @@ class RunConfig:
             problems.append(f"max_len must be at least 1, got {self.max_len}")
         if self.max_len < self.window and self.arch == "cnn":
             problems.append(f"max_len {self.max_len} is below the window {self.window}")
+        for name in ("window", "filters", "lbfgs_memory", "min_count"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.hidden is not None and self.hidden < 1:
+            problems.append(f"hidden must be at least 1, got {self.hidden}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            problems.append(f"lr must be a finite number above 0, got {self.lr}")
+        if not (math.isfinite(self.decay) and self.decay >= 0.0):
+            problems.append(f"decay must be a finite number of at least 0, got {self.decay}")
         if not 0.0 < self.split_ratio < 1.0:
             problems.append(f"split ratio must lie in (0, 1), got {self.split_ratio}")
         if self.oov_policy not in (OOV_ZERO, OOV_RANDOM):
@@ -131,8 +133,7 @@ class DenseSequenceEncoder:
     """Padded token sequence to index rows (pad = -1) into the embedding
     ``matrix`` it owns.  ``encode_many`` looks each distinct token up once,
     the first time it meets it, and appends its vector (loaded, or the OOV
-    policy's) to ``matrix``; ``encode`` is the per-example oracle.
-    Fine-tuning trains ``matrix`` in place."""
+    policy's) to ``matrix``.  Fine-tuning trains ``matrix`` in place."""
 
     kind = "embedding"
 
@@ -156,9 +157,6 @@ class DenseSequenceEncoder:
                 self.matrix[self.row[token]] = row
         self.tuned = (list(tokens), rows)
 
-    def encode(self, tokens) -> np.ndarray:
-        return lookup_matrix(self.table, pad_or_truncate(tokens, self.max_len))
-
     def encode_many(self, dataset: Dataset) -> np.ndarray:
         out = np.full((len(dataset.examples), self.max_len), -1, dtype=np.int64)
         new = []
@@ -178,8 +176,7 @@ class DenseSequenceEncoder:
 
 class HashedSequenceEncoder:
     """Padded token sequence to hashed one-hot rows, carried as indices
-    (pad = -1).  ``encode_many`` hashes each distinct token once per call;
-    ``indices`` is the per-example oracle."""
+    (pad = -1).  ``encode_many`` hashes each distinct token once per call."""
 
     kind = "hashed"
 
@@ -190,13 +187,6 @@ class HashedSequenceEncoder:
     @property
     def dim(self) -> int:
         return self._dim
-
-    def indices(self, tokens) -> np.ndarray:
-        padded = pad_or_truncate(tokens, self.max_len)
-        return np.array(
-            [-1 if t == PAD_TOKEN else hash_index(t, self._dim) for t in padded],
-            dtype=np.int64,
-        )
 
     def encode_many(self, dataset: Dataset) -> np.ndarray:
         slots = {PAD_TOKEN: -1}
@@ -213,9 +203,9 @@ class HashedSequenceEncoder:
 class CountEncoder:
     """Whole sentence to hashed unigram counts (cutoff applied first).
 
-    ``encode`` gives one dense count vector; ``encode_many`` carries a batch
-    as index rows: each entry is the hashed slot of a kept token, a repeated
-    slot is a count, and -1 pads every row to the longest (at least 1).
+    ``encode_many`` carries a batch as index rows: each entry is the hashed
+    slot of a kept token, a repeated slot is a count, and -1 pads every row
+    to the longest (at least 1).
     """
 
     kind = "counts"
@@ -227,9 +217,6 @@ class CountEncoder:
     @property
     def dim(self) -> int:
         return self._dim
-
-    def encode(self, tokens) -> np.ndarray:
-        return count_vector(self.vocab.keep(tokens), self._dim)
 
     def encode_many(self, dataset: Dataset) -> np.ndarray:
         slots: dict[str, int] = {}  # each kept token is hashed once per call

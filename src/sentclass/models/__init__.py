@@ -1,28 +1,23 @@
 """The four classifier families behind one table.
 
 ``FAMILIES`` maps each arch tag to everything the harness needs about that
-family.  Its batched ``probs``/``grads`` functions are the implementation
-that training, evaluation and prediction run; the per-example
-``forward``/``backward`` functions are the reference the tests compare
-them against.  All weights draw from a symmetric uniform range of
-sqrt(6 / (fan_in + fan_out)); biases start at zero except the LSTM forget
-gate, which starts at 1 so the memory path is open from the first epoch.
+family: its parameter and spec classes and the batched ``probs``/``grads``
+functions that training, evaluation and prediction run.  All weights draw
+from a symmetric uniform range of sqrt(6 / (fan_in + fan_out)); biases
+start at zero except the LSTM forget gate, which starts at 1 so the memory
+path is open from the first epoch.
 """
 
 from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Union
 
-import numpy as np
-
-from .cnn import (CnnParams, CnnTrace, cnn_backward, cnn_batch_grads, cnn_batch_grads_hashed,
-                  cnn_batch_probs, cnn_batch_probs_hashed, cnn_forward, init_cnn)
-from .fnn import (FnnParams, FnnTrace, fnn_backward, fnn_batch_loss_grads, fnn_batch_probs,
-                  fnn_forward, init_fnn)
-from .lstm import (LstmParams, LstmTrace, init_lstm, lstm_backward, lstm_batch_grads,
-                   lstm_batch_grads_hashed, lstm_batch_probs, lstm_batch_probs_hashed,
-                   lstm_forward)
-from .rnn import (RnnParams, RnnTrace, init_rnn, rnn_backward, rnn_batch_grads,
-                  rnn_batch_grads_hashed, rnn_batch_probs, rnn_batch_probs_hashed, rnn_forward)
+from .cnn import (CnnParams, cnn_batch_grads, cnn_batch_grads_hashed, cnn_batch_probs,
+                  cnn_batch_probs_hashed, init_cnn)
+from .fnn import FnnParams, fnn_batch_loss_grads, fnn_batch_probs, init_fnn
+from .lstm import (LstmParams, init_lstm, lstm_batch_grads, lstm_batch_grads_hashed,
+                   lstm_batch_probs, lstm_batch_probs_hashed)
+from .rnn import (RnnParams, init_rnn, rnn_batch_grads, rnn_batch_grads_hashed, rnn_batch_probs,
+                  rnn_batch_probs_hashed)
 
 ModelParams = Union[FnnParams, CnnParams, RnnParams, LstmParams]
 
@@ -84,28 +79,21 @@ class Family:
 
     params: type
     spec: type
-    trace: type
     init: Callable
     probs: Callable
     grads: Callable
-    forward: Callable
-    backward: Callable
     input_table: str
     hashed_probs: Callable | None = None
     hashed_grads: Callable | None = None
 
 
 FAMILIES = {
-    "fnn": Family(FnnParams, FnnSpec, FnnTrace, init_fnn, fnn_batch_probs,
-                  fnn_batch_loss_grads, fnn_forward, fnn_backward, "w0"),
-    "cnn": Family(CnnParams, CnnSpec, CnnTrace, init_cnn, cnn_batch_probs,
-                  cnn_batch_grads, cnn_forward, cnn_backward, "filters",
+    "fnn": Family(FnnParams, FnnSpec, init_fnn, fnn_batch_probs, fnn_batch_loss_grads, "w0"),
+    "cnn": Family(CnnParams, CnnSpec, init_cnn, cnn_batch_probs, cnn_batch_grads, "filters",
                   cnn_batch_probs_hashed, cnn_batch_grads_hashed),
-    "rnn": Family(RnnParams, RnnSpec, RnnTrace, init_rnn, rnn_batch_probs,
-                  rnn_batch_grads, rnn_forward, rnn_backward, "w_in",
+    "rnn": Family(RnnParams, RnnSpec, init_rnn, rnn_batch_probs, rnn_batch_grads, "w_in",
                   rnn_batch_probs_hashed, rnn_batch_grads_hashed),
-    "lstm": Family(LstmParams, LstmSpec, LstmTrace, init_lstm, lstm_batch_probs,
-                   lstm_batch_grads, lstm_forward, lstm_backward, "wx",
+    "lstm": Family(LstmParams, LstmSpec, init_lstm, lstm_batch_probs, lstm_batch_grads, "wx",
                    lstm_batch_probs_hashed, lstm_batch_grads_hashed),
 }
 
@@ -127,29 +115,10 @@ def input_width(params: ModelParams) -> int:
     return params.tensors()[_family(params).input_table].shape[0]
 
 
-def forward(params: ModelParams, x, train: bool = False,
-            rng: np.random.Generator | None = None):
-    """Per-example reference: class distribution plus the trace ``backward`` needs."""
-    return _family(params).forward(params, x, train, rng)
-
-
-def backward(params: ModelParams, trace, label: int) -> dict[str, np.ndarray]:
-    """Per-example reference: cross-entropy gradients keyed like ``tensors()``."""
-    family = _family(params)
-    if not isinstance(trace, family.trace):
-        raise TypeError(
-            f"trace {type(trace).__name__} does not match {type(params).__name__}"
-        )
-    return family.backward(params, trace, label)
-
-
 __all__ = [
     "ModelParams", "Family", "FAMILIES",
     "FnnParams", "CnnParams", "RnnParams", "LstmParams",
     "FnnSpec", "CnnSpec", "RnnSpec", "LstmSpec",
-    "FnnTrace", "CnnTrace", "RnnTrace", "LstmTrace",
-    "init_params", "input_width", "forward", "backward",
+    "init_params", "input_width",
     "init_fnn", "init_cnn", "init_rnn", "init_lstm",
-    "fnn_forward", "cnn_forward", "rnn_forward", "lstm_forward",
-    "fnn_backward", "cnn_backward", "rnn_backward", "lstm_backward",
 ]

@@ -1,6 +1,6 @@
 """Convolutional sentence classifier.
 
-Pipeline per example: window convolution over the embedding rows, ReLU,
+Pipeline per sentence: window convolution over the embedding rows, ReLU,
 max-over-time pooling, a ReLU fully connected layer with inverted dropout
 (training only), then a linear layer with softmax.
 """
@@ -10,8 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (RowGrad, conv1d_wgram, dropout_mask, max_pool_time, relu, row_table,
-                      softmax, softmax_rows)
+from ..tensor import RowGrad, row_table, softmax_rows
 from .head import head_grads
 
 
@@ -68,20 +67,6 @@ class CnnParams:
                                        ("filters", "conv_bias", "w_fc", "b_fc", "w_out", "b_out")})
 
 
-@dataclass
-class CnnTrace:
-    x: np.ndarray
-    conv_pre: np.ndarray  # pre-ReLU convolution output
-    relu_out: np.ndarray
-    pool_argmax: np.ndarray
-    pooled: np.ndarray
-    fc_pre: np.ndarray
-    fc_act: np.ndarray
-    drop_mask: np.ndarray | None
-    head_in: np.ndarray
-    probs: np.ndarray
-
-
 # filters drawn per block in ``init_cnn``: small enough that a block's draw is
 # cheap to hold beside the bank, large enough that the loop costs nothing
 _INIT_BLOCK = 16
@@ -119,71 +104,6 @@ def init_cnn(embed_dim: int, classes: int, n_filters: int = 256, window: int = 3
         b_out=np.zeros(classes),
         dropout=dropout,
     )
-
-
-def cnn_forward(params: CnnParams, x, train: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, CnnTrace]:
-    """Class distribution for one n-by-d sentence matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    conv_pre = conv1d_wgram(x, params.filters.transpose(2, 0, 1), params.conv_bias)
-    relu_out = relu(conv_pre)
-    pooled, pool_argmax = max_pool_time(relu_out)
-    fc_pre = pooled @ params.w_fc + params.b_fc
-    fc_act = np.maximum(fc_pre, 0.0)
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = dropout_mask(fc_act.shape[0], params.dropout, rng)
-    head_in = fc_act * mask if mask is not None else fc_act
-    probs = softmax(head_in @ params.w_out + params.b_out)
-    trace = CnnTrace(x, conv_pre, relu_out, pool_argmax, pooled, fc_pre, fc_act,
-                     mask, head_in, probs)
-    return probs, trace
-
-
-def cnn_backward(params: CnnParams, trace: CnnTrace, label: int) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients for all CNN parameters.
-
-    The pooling layer routes gradient only to the argmax time positions
-    recorded in the trace.
-    """
-    probs = trace.probs
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    g_w_out = np.outer(trace.head_in, dlogits)
-    g_b_out = dlogits
-    d_head_in = params.w_out @ dlogits
-    d_fc_act = d_head_in * trace.drop_mask if trace.drop_mask is not None else d_head_in
-    d_fc_pre = d_fc_act * (trace.fc_pre > 0.0)
-    g_w_fc = np.outer(trace.pooled, d_fc_pre)
-    g_b_fc = d_fc_pre
-    d_pooled = params.w_fc @ d_fc_pre
-    d_relu = np.zeros_like(trace.relu_out)
-    d_relu[trace.pool_argmax, np.arange(d_relu.shape[1])] = d_pooled
-    d_conv = d_relu * (trace.conv_pre > 0.0)
-    window = params.window
-    # windows[t, j, k] = x[t + k, j]
-    windows = np.lib.stride_tricks.sliding_window_view(trace.x, window, axis=0)
-    g_filters = np.einsum("ti,tjk->jki", d_conv, windows, optimize=True)
-    g_conv_bias = d_conv.sum(axis=0)
-    return {
-        "filters": g_filters,
-        "conv_bias": g_conv_bias,
-        "w_fc": g_w_fc,
-        "b_fc": g_b_fc,
-        "w_out": g_w_out,
-        "b_out": g_b_out,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Batched implementation: what training, evaluation and prediction run.  The
-# per-example functions above are its reference; the batch-equivalence tests
-# pin one to the other.
-# ---------------------------------------------------------------------------
 
 
 def _pool_batch(relu_out):

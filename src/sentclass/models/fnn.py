@@ -5,7 +5,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import RowGrad, ShapeError, _distinct, sigmoid, softmax, softmax_rows
+from ..tensor import RowGrad, _distinct, sigmoid, softmax_rows
 from .head import head_grads
 
 
@@ -49,12 +49,6 @@ class FnnParams:
         )
 
 
-@dataclass
-class FnnTrace:
-    activations: list[np.ndarray]  # input, hidden outputs, probs
-    probs: np.ndarray
-
-
 def init_fnn(layer_sizes, seed) -> FnnParams:
     """Glorot-uniform weights, zero biases, one (weight, bias) pair per layer."""
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
@@ -66,50 +60,6 @@ def init_fnn(layer_sizes, seed) -> FnnParams:
         weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return FnnParams(weights=weights, biases=biases)
-
-
-def fnn_forward(params: FnnParams, x, train: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, FnnTrace]:
-    """Class distribution for one input vector.
-
-    The FNN has no dropout: ``train`` and ``rng`` change nothing and keep the
-    per-example calling convention of the other families.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.weights[0].shape[0]:
-        raise ShapeError(
-            f"input shape {x.shape} does not match first layer "
-            f"({params.weights[0].shape[0]},)"
-        )
-    activations = [x]
-    a = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = softmax(z) if i == last else sigmoid(z)
-        activations.append(a)
-    return a, FnnTrace(activations=activations, probs=a)
-
-
-def fnn_backward(params: FnnParams, trace: FnnTrace, label: int) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients for every layer."""
-    probs = trace.probs
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    if len(trace.activations) != len(params.weights) + 1:
-        raise ShapeError("trace does not match parameter depth")
-    dz = probs.copy()
-    dz[label] -= 1.0  # softmax + cross-entropy
-    grads: dict[str, np.ndarray] = {}
-    for i in reversed(range(len(params.weights))):
-        a_prev = trace.activations[i]
-        grads[f"w{i}"] = np.outer(a_prev, dz)
-        grads[f"b{i}"] = dz.copy()
-        if i > 0:
-            da = params.weights[i] @ dz
-            a = trace.activations[i]
-            dz = da * a * (1.0 - a)  # logistic derivative
-    return grads
 
 
 def _count_block(params: FnnParams, xs):
@@ -139,9 +89,8 @@ def fnn_batch_loss_grads(params: FnnParams, xs: np.ndarray, labels: np.ndarray,
     """Per-example losses and batch-mean gradients over a batch of hashed
     count rows, carried as indices like ``fnn_batch_probs`` takes them.
 
-    Matches averaging ``fnn_backward`` over the rows' count vectors; serves
-    full-batch objectives and minibatch steps alike.  The first layer reads
-    only the rows of ``w0`` the batch touches, and its gradient is a
+    Serves full-batch objectives and minibatch steps alike.  The first layer
+    reads only the rows of ``w0`` the batch touches, and its gradient is a
     ``RowGrad`` over them.  The FNN has no dropout, so ``train`` and ``rng``
     change nothing; they keep the calling convention of the other families.
     """

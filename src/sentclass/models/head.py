@@ -6,8 +6,9 @@ cross-entropy, with their backward pass, over a batch of feature rows.
 
 import numpy as np
 
-from ..optim import PROB_CLAMP
 from ..tensor import dropout_mask, softmax_rows
+
+PROB_CLAMP = 1e-15  # the least probability a loss reads: -log of it bounds each loss
 
 
 def head_grads(features, w, b, labels, dropout: float = 0.0, train: bool = False,

@@ -29,8 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
-                      softmax_rows)
+from ..tensor import ShapeError, gather_rows, scatter_rows, sigmoid, softmax_rows
 from .head import head_grads
 
 _GATES = ("i", "f", "o", "g")
@@ -80,21 +79,6 @@ class LstmParams:
                    **{k: tensors[k] for k in ("wx", "wh", "b", "w_head", "b_head")})
 
 
-@dataclass
-class LstmTrace:
-    x: np.ndarray
-    gate_i: np.ndarray  # (n, hidden) each
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    cand: np.ndarray
-    cell: np.ndarray
-    tanh_cell: np.ndarray
-    hiddens: np.ndarray
-    drop_mask: np.ndarray | None
-    head_in: np.ndarray
-    probs: np.ndarray
-
-
 def init_lstm(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0.1,
               seed=0) -> LstmParams:
     """Glorot-uniform gate weights; biases zero except the forget gate at 1.
@@ -120,91 +104,6 @@ def init_lstm(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 
     w_head = glorot(hidden, classes, (hidden, classes))
     return LstmParams(wx=wx, wh=wh, b=b, w_head=w_head, b_head=np.zeros(classes),
                       dropout=dropout)
-
-
-def lstm_forward(params: LstmParams, x, train: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, LstmTrace]:
-    """Class distribution after running the cell over all n steps from zero state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"expected a non-empty (n, d) sequence, got shape {x.shape}")
-    if x.shape[1] != params.embed_dim:
-        raise ShapeError(f"input width {x.shape[1]} does not match embed dim {params.embed_dim}")
-    n = x.shape[0]
-    hid = params.hidden
-    wx_i, wx_f, wx_o, wx_g = np.split(params.wx, 4, axis=1)
-    wh_i, wh_f, wh_o, wh_g = np.split(params.wh, 4, axis=1)
-    b_i, b_f, b_o, b_g = np.split(params.b, 4)
-    gate_i = np.zeros((n, hid))
-    gate_f = np.zeros((n, hid))
-    gate_o = np.zeros((n, hid))
-    cand = np.zeros((n, hid))
-    cell = np.zeros((n, hid))
-    hiddens = np.zeros((n, hid))
-    h = np.zeros(hid)
-    c = np.zeros(hid)
-    for t in range(n):
-        xt = x[t]
-        gate_i[t] = sigmoid(xt @ wx_i + h @ wh_i + b_i)
-        gate_f[t] = sigmoid(xt @ wx_f + h @ wh_f + b_f)
-        gate_o[t] = sigmoid(xt @ wx_o + h @ wh_o + b_o)
-        cand[t] = np.tanh(xt @ wx_g + h @ wh_g + b_g)
-        c = gate_i[t] * cand[t] + gate_f[t] * c
-        cell[t] = c
-        h = gate_o[t] * np.tanh(c)
-        hiddens[t] = h
-    tanh_cell = np.tanh(cell)
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = dropout_mask(hid, params.dropout, rng)
-    head_in = h * mask if mask is not None else h
-    probs = softmax(head_in @ params.w_head + params.b_head)
-    trace = LstmTrace(x, gate_i, gate_f, gate_o, cand, cell, tanh_cell, hiddens,
-                      mask, head_in, probs)
-    return probs, trace
-
-
-def lstm_backward(params: LstmParams, trace: LstmTrace, label: int) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients for all gates, accumulated through time."""
-    probs = trace.probs
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    n = trace.hiddens.shape[0]
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    g = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    g["w_head"] = np.outer(trace.head_in, dlogits)
-    g["b_head"] = dlogits
-    # each gate's gradient accumulates in its columns of the side-by-side tensors
-    g_wx, g_wh, g_b = (np.split(g[name], 4, axis=-1) for name in ("wx", "wh", "b"))
-    wh = np.split(params.wh, 4, axis=1)
-    dh = params.w_head @ dlogits
-    if trace.drop_mask is not None:
-        dh = dh * trace.drop_mask
-    dc = np.zeros(params.hidden)
-    for t in reversed(range(n)):
-        i_t, f_t, o_t = trace.gate_i[t], trace.gate_f[t], trace.gate_o[t]
-        u_t, tc_t = trace.cand[t], trace.tanh_cell[t]
-        c_prev = trace.cell[t - 1] if t > 0 else np.zeros(params.hidden)
-        h_prev = trace.hiddens[t - 1] if t > 0 else np.zeros(params.hidden)
-        d_o = dh * tc_t
-        dc = dc + dh * o_t * (1.0 - tc_t * tc_t)
-        d_i = dc * u_t
-        d_u = dc * i_t
-        d_f = dc * c_prev
-        dc_next = dc * f_t
-        dpres = (d_i * i_t * (1.0 - i_t), d_f * f_t * (1.0 - f_t),
-                 d_o * o_t * (1.0 - o_t), d_u * (1.0 - u_t * u_t))
-        xt = trace.x[t]
-        for k, dpre in enumerate(dpres):
-            g_wx[k] += np.outer(xt, dpre)
-            g_wh[k] += np.outer(h_prev, dpre)
-            g_b[k] += dpre
-        dh = wh[0] @ dpres[0] + wh[1] @ dpres[1] + wh[2] @ dpres[2] + wh[3] @ dpres[3]
-        dc = dc_next
-    return g
 
 
 def _input_projections(params, xs):

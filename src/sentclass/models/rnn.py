@@ -12,8 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid, softmax,
-                      softmax_rows)
+from ..tensor import gather_rows, scatter_rows, sigmoid, softmax_rows
 from .head import head_grads
 
 
@@ -59,15 +58,6 @@ class RnnParams:
                                        ("w_in", "w_rec", "b_rec", "w_head", "b_head")})
 
 
-@dataclass
-class RnnTrace:
-    x: np.ndarray
-    hiddens: np.ndarray  # (n, hidden)
-    drop_mask: np.ndarray | None
-    head_in: np.ndarray
-    probs: np.ndarray
-
-
 def init_rnn(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0.1,
              seed=0) -> RnnParams:
     if min(embed_dim, classes, hidden) < 1:
@@ -88,69 +78,6 @@ def init_rnn(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0
         b_head=np.zeros(classes),
         dropout=dropout,
     )
-
-
-def _check_sequence(params, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"expected a non-empty (n, d) sequence, got shape {x.shape}")
-    if x.shape[1] != params.embed_dim:
-        raise ShapeError(f"input width {x.shape[1]} does not match embed dim {params.embed_dim}")
-    return x
-
-
-def rnn_forward(params: RnnParams, x, train: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, RnnTrace]:
-    """Class distribution after exactly n recurrence steps from h_0 = 0."""
-    x = _check_sequence(params, x)
-    n = x.shape[0]
-    hiddens = np.zeros((n, params.hidden))
-    h = np.zeros(params.hidden)
-    for t in range(n):
-        h = sigmoid(x[t] @ params.w_in + h @ params.w_rec + params.b_rec)
-        hiddens[t] = h
-    mask = None
-    if train and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward pass with dropout requires an rng")
-        mask = dropout_mask(params.hidden, params.dropout, rng)
-    head_in = h * mask if mask is not None else h
-    probs = softmax(head_in @ params.w_head + params.b_head)
-    return probs, RnnTrace(x, hiddens, mask, head_in, probs)
-
-
-def rnn_backward(params: RnnParams, trace: RnnTrace, label: int) -> dict[str, np.ndarray]:
-    """Full backpropagation through time."""
-    probs = trace.probs
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    hiddens = trace.hiddens
-    n = hiddens.shape[0]
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    g_w_head = np.outer(trace.head_in, dlogits)
-    g_b_head = dlogits
-    dh = params.w_head @ dlogits
-    if trace.drop_mask is not None:
-        dh = dh * trace.drop_mask
-    g_w_in = np.zeros_like(params.w_in)
-    g_w_rec = np.zeros_like(params.w_rec)
-    g_b_rec = np.zeros_like(params.b_rec)
-    for t in reversed(range(n)):
-        h_t = hiddens[t]
-        dpre = dh * h_t * (1.0 - h_t)
-        g_w_in += np.outer(trace.x[t], dpre)
-        g_b_rec += dpre
-        h_prev = hiddens[t - 1] if t > 0 else np.zeros_like(h_t)
-        g_w_rec += np.outer(h_prev, dpre)
-        dh = params.w_rec @ dpre
-    return {
-        "w_in": g_w_in,
-        "w_rec": g_w_rec,
-        "b_rec": g_b_rec,
-        "w_head": g_w_head,
-        "b_head": g_b_head,
-    }
 
 
 def _input_projection(params, xs):

@@ -1,4 +1,4 @@
-"""Loss and optimizers: cross-entropy, minibatch SGD, Adagrad, L-BFGS.
+"""Optimizers: minibatch SGD, Adagrad and L-BFGS.
 
 Parameters travel as dicts of named float64 arrays (see the ``tensors()``
 method on each parameter set); gradient dicts mirror those keys and shapes.
@@ -13,19 +13,9 @@ import numpy as np
 
 from .tensor import RowGrad, ShapeError
 
-PROB_CLAMP = 1e-15
-
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_LINE_TRIALS = 20
-
-
-def cross_entropy(probs, label: int) -> float:
-    """Negative log-probability of the true class, clamped at 1e-15."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return -math.log(max(float(probs[label]), PROB_CLAMP))
 
 
 def _check_shapes(params: dict, grads: dict):
@@ -190,34 +180,3 @@ def lbfgs_minimize(objective, x0, m: int = 10, max_iter: int = 100, tol: float =
     status = "converged" if np.max(np.abs(g)) < tol else "max_iterations"
     return LbfgsResult(x, status, max_iter, trajectory)
 
-
-def grad_check(loss_fn, grad_fn, params: dict[str, np.ndarray], eps: float = 1e-5,
-               max_coords: int = 1000, seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    ``loss_fn()`` evaluates the scalar loss at the current parameter values;
-    ``grad_fn()`` returns the analytic gradient dict.  Every coordinate is
-    probed, or a seeded random subset when there are more than
-    ``max_coords``.  Run in eval mode (no dropout) so the objective is
-    deterministic.
-    """
-    grads = grad_fn()
-    coords = [(name, i) for name, t in sorted(params.items()) for i in range(t.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in chosen]
-    worst = 0.0
-    for name, flat_index in coords:
-        values = params[name].reshape(-1)
-        original = values[flat_index]
-        values[flat_index] = original + eps
-        f_plus = loss_fn()
-        values[flat_index] = original - eps
-        f_minus = loss_fn()
-        values[flat_index] = original
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        analytic = float(grads[name].reshape(-1)[flat_index])
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

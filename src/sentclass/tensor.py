@@ -19,54 +19,12 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class SequenceTooShortError(ShapeError):
-    """Input has fewer time steps than the convolution window."""
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Deterministic generator: identical seeds yield identical draws."""
-    return np.random.default_rng(seed)
-
-
 def as_tensor(values) -> Tensor:
     """Coerce to a rank 1-3 float64 array."""
     out = np.asarray(values, dtype=np.float64)
     if not 1 <= out.ndim <= 3:
         raise ShapeError(f"tensor rank must be between 1 and 3, got {out.ndim}")
     return out
-
-
-def conv1d_wgram(x, filters, bias) -> Tensor:
-    """Window convolution over time.
-
-    ``x`` is an n-by-d sequence of row vectors, ``filters`` an o-by-d-by-w
-    bank, ``bias`` an o-vector.  Output row t, column i is
-
-        sum_j sum_k filters[i, j, k] * x[t + k, j] + bias[i]
-
-    with t ranging over the n-w+1 window positions.
-    """
-    x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
-    if x.ndim != 2 or filters.ndim != 3 or bias.ndim != 1:
-        raise ShapeError(
-            f"expected ranks (2, 3, 1), got ({x.ndim}, {filters.ndim}, {bias.ndim})"
-        )
-    n, d = x.shape
-    o, fd, w = filters.shape
-    if fd != d:
-        raise ShapeError(f"filter depth {fd} does not match input width {d}")
-    if bias.shape[0] != o:
-        raise ShapeError(f"bias length {bias.shape[0]} does not match {o} filters")
-    if n < w:
-        raise SequenceTooShortError(f"sequence of {n} rows is shorter than window {w}")
-    # windows[t, j, k] = x[t + k, j]
-    windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=0)
-    return np.einsum("tjk,ijk->ti", windows, filters, optimize=True) + bias
-
-
-def relu(y) -> Tensor:
-    """Element-wise max(y, 0)."""
-    return np.maximum(as_tensor(y), 0.0)
 
 
 def sigmoid(z, out=None) -> Tensor:
@@ -84,15 +42,6 @@ def sigmoid(z, out=None) -> Tensor:
     top = np.where(z >= 0, 1.0, e)
     e += 1.0
     return np.divide(top, e, out=out)
-
-
-def softmax(z) -> Tensor:
-    """Probability vector exp(z_i) / sum_k exp(z_k), stabilised by max-subtraction."""
-    z = as_tensor(z)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ShapeError(f"softmax expects a non-empty rank-1 tensor, got shape {z.shape}")
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
 
 
 def softmax_rows(z) -> Tensor:
@@ -165,6 +114,11 @@ def gather_rows(w, idx) -> Tensor:
     return table[slots]
 
 
+# flat targets per np.add.at call in ``scatter_rows``: a 256 KB index, one
+# recurrent step of a 128-sentence batch at hidden width 256
+_SCATTER_TARGETS = 1 << 15
+
+
 def scatter_rows(values, idx, shape) -> RowGrad:
     """Gradient of ``gather_rows(w, idx)`` for a ``shape`` tensor ``w``,
     given the gradient ``values`` of its result.
@@ -174,29 +128,18 @@ def scatter_rows(values, idx, shape) -> RowGrad:
     gives; the padding slot is dropped.
     """
     rows, slots, pad = _distinct(idx)
-    flat = values.reshape(idx.size, -1)
-    width = flat.shape[1]
-    # one flat index per entry: np.add.at runs far faster on a 1-D target,
-    # and each entry still receives its terms in input order
-    targets = (slots.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    width = int(np.prod(shape[1:]))
+    slots, values = slots.reshape(-1), values.reshape(idx.size, width)
     sums = np.zeros(rows.size * width)
-    np.add.at(sums, targets, flat.reshape(-1))
+    offsets = np.arange(width)
+    block = max(1, _SCATTER_TARGETS // width)
+    # one flat index per entry: np.add.at runs far faster on a 1-D target.
+    # Built for a block of entries at a time, the index stays small, and the
+    # blocks go in order, so each bin still gets its terms in input order
+    for lo in range(0, idx.size, block):
+        targets = (slots[lo:lo + block, None] * width + offsets).reshape(-1)
+        np.add.at(sums, targets, values[lo:lo + block].reshape(-1))
     return RowGrad(rows[pad:], sums.reshape(rows.size, *shape[1:])[pad:], tuple(shape))
-
-
-def max_pool_time(y):
-    """Column-wise maximum over time rows.
-
-    Returns ``(pooled, argmax)`` where ``pooled[i]`` is the maximum of
-    column i and ``argmax[i]`` the earliest row attaining it (ties resolve
-    to the smallest row so gradient routing is deterministic).
-    """
-    y = as_tensor(y)
-    if y.ndim != 2 or y.shape[0] < 1:
-        raise ShapeError(f"max_pool_time expects a rank-2 tensor with rows, got shape {y.shape}")
-    argmax = np.argmax(y, axis=0)  # first occurrence == earliest time index
-    pooled = y[argmax, np.arange(y.shape[1])]
-    return pooled, argmax
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:

@@ -1,17 +1,14 @@
 """Raw sentences to model-ready tokens.
 
 Covers the whole preprocessing path: whitespace/punctuation tokenizer,
-frequency-cutoff vocabulary, hashed count vectors, 32-bit MurmurHash3
-feature hashing, fixed-length padding and the underscore normalization
-used for pre-segmented Vietnamese words.
+frequency-cutoff vocabulary, 32-bit MurmurHash3 feature hashing and the
+underscore normalization used for pre-segmented Vietnamese words.
 """
 
 import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -179,29 +176,3 @@ def build_vocabulary(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
     token_to_index = {t: i + 2 for i, t in enumerate(kept)}
     return Vocabulary(token_to_index, index_to_token, index_to_freq, min_count)
 
-
-def count_vector(tokens: list[str], dim: int) -> np.ndarray:
-    """Hashed unigram counts: slot hash_index(token, dim) incremented per token.
-
-    Padding tokens do not contribute.
-    """
-    if dim < 2:
-        raise ValueError(f"count vector dimension must be at least 2, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokens:
-        if token != PAD_TOKEN:
-            vec[hash_index(token, dim)] += 1.0
-    return vec
-
-
-def pad_or_truncate(tokens: list[str], max_len: int) -> list[str]:
-    """Force a sequence to exactly max_len tokens.
-
-    Longer sequences keep their head (question cues cluster at the start);
-    shorter ones are right-padded.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    if len(tokens) >= max_len:
-        return list(tokens[:max_len])
-    return list(tokens) + [PAD_TOKEN] * (max_len - len(tokens))

@@ -24,16 +24,22 @@ import pytest
 import sentclass.models as M
 from sentclass.harness.cli import main as cli_main
 from sentclass.harness.data import Dataset, load_uiuc, split, write_tsv
-from sentclass.harness.run import RunConfig, train_run
+from sentclass.embeddings import EmbeddingTable
+from sentclass.harness.run import (DenseSequenceEncoder, RunConfig, _arch_spec, _batch_functions,
+                                   build_encoder, train_run)
 from sentclass.harness.synth import (
     corpus_tokens,
     make_synthetic,
     write_embeddings_file,
 )
-from sentclass.optim import cross_entropy, grad_check, lbfgs_minimize
-from sentclass.tensor import conv1d_wgram, max_pool_time, softmax
+from sentclass.models.cnn import _dense_conv, _hashed_conv, _pool_batch
+from sentclass.models.head import head_grads
+from sentclass.optim import lbfgs_minimize
+from sentclass.tensor import softmax_rows
 from sentclass.text import hash_index, murmur3_32
 
+import oracles
+from oracles import conv1d_wgram, cross_entropy, grad_check, max_pool_time, softmax
 from test_hashing import PUBLISHED_VECTORS, reference_murmur3_32
 
 DATA_DIR = Path(os.environ.get("SENTCLASS_DATA_DIR",
@@ -99,12 +105,18 @@ def uiuc_run(key: str) -> float:
 
 # --- criterion 1: gradient correctness ---------------------------------------
 
+# every route training takes: (arch, encoding, fine_tune)
+TRAINING_ROUTES = [(arch, encoding, fine_tune)
+                   for arch in ("cnn", "rnn", "lstm")
+                   for encoding, fine_tune in (("glove", False), ("glove", True),
+                                               ("onehot", False))] + [("fnn", "counts", False)]
+
 
 def _cnn_fd_safe(params, x, eps) -> bool:
     """Central differences only estimate a derivative where the loss is
     differentiable: reject instances whose ReLU inputs sit near the kink or
     whose pooling columns have near-tied maxima."""
-    _, trace = M.cnn_forward(params, x)
+    _, trace = oracles.cnn_forward(params, x)
     margin = 200 * eps
     if np.min(np.abs(trace.conv_pre)) < margin:
         return False
@@ -117,55 +129,79 @@ def _cnn_fd_safe(params, x, eps) -> bool:
     return True
 
 
+def _training_instance(arch, encoding, fine_tune, batch, rng, seed):
+    """A random small model and batch on one training route: the config, its
+    encoder, the encoded batch, its labels, and the parameters."""
+    n = int(rng.integers(3, 7))     # max_len <= 6
+    d = int(rng.integers(2, 5))     # embedding width <= 4
+    h = int(rng.integers(2, 6))     # hidden width and filters <= 5
+    k = int(rng.integers(2, 4))     # classes <= 3
+    w = int(rng.integers(1, min(n, 3) + 1))
+    vocab = [f"tok{i}" for i in range(8)]
+    # distinct tokens per sentence, at most one window all padding: no two
+    # CNN windows read the same rows, so their pooling maxima rarely tie
+    lengths = rng.integers(max(1, n - w), n + 1, size=batch)
+    sentences = [list(rng.choice(vocab, size=int(m), replace=False)) for m in lengths]
+    data = Dataset([(0, tokens) for tokens in sentences], ["a"])
+    cfg = RunConfig(arch=arch, encoding=encoding, dim=int(rng.integers(5, 13)), window=w,
+                    filters=h, hidden=h, dropout=0.0, max_len=n, fine_tune=fine_tune,
+                    min_count=1)
+    if encoding == "glove":
+        table = EmbeddingTable(dim=d, entries={t: rng.normal(size=d) for t in vocab})
+        encoder = DenseSequenceEncoder(table, n)
+    else:
+        encoder = build_encoder(cfg, data)
+    idx = encoder.encode_many(data)
+    params = M.init_params(_arch_spec(cfg, encoder.dim, k), seed)
+    if arch == "cnn":  # all-padding windows read the bias alone: off zero, off the kink
+        params.conv_bias += rng.uniform(-0.5, 0.5, params.conv_bias.shape)
+    return cfg, encoder, sentences, idx, rng.integers(k, size=batch), params
+
+
+def _oracle_rows(encoder, tokens):
+    """One sentence's input rows, built by the per-example oracles."""
+    if encoder.kind == "hashed":
+        return oracles.densify(oracles.hashed_indices(encoder, tokens), encoder.dim)
+    return oracles.embedding_rows(encoder, tokens)
+
+
 def test_criterion_01_gradient_correctness():
+    """Central differences through the gradient function training runs, on
+    every route, at batch size 1 and above."""
     start = time.perf_counter()
     eps = 1e-5
     worst = {}
     redrawn = 0
     rng = np.random.default_rng(2026)
-    for arch in ("fnn", "cnn", "rnn", "lstm"):
+    for arch, encoding, fine_tune in TRAINING_ROUTES:
         errs = []
         seed = 1000
         while len(errs) < 10:
-            n = int(rng.integers(3, 7))     # n <= 6
-            d = int(rng.integers(2, 5))     # d <= 4
-            h = int(rng.integers(2, 6))     # h <= 5
-            k = int(rng.integers(2, 4))     # K <= 3
-            label = int(rng.integers(k))
-            if arch == "fnn":
-                spec = M.FnnSpec((d, h, k))
-                x = rng.normal(size=d)
-            elif arch == "cnn":
-                w = int(rng.integers(1, min(n, 3) + 1))
-                spec = M.CnnSpec(embed_dim=d, classes=k, n_filters=h, window=w,
-                                 hidden=h, dropout=0.0)
-                x = rng.normal(size=(n, d))
-            elif arch == "rnn":
-                spec = M.RnnSpec(embed_dim=d, classes=k, hidden=h, dropout=0.0)
-                x = rng.normal(size=(n, d))
-            else:
-                spec = M.LstmSpec(embed_dim=d, classes=k, hidden=h, dropout=0.0)
-                x = rng.normal(size=(n, d))
-            params = M.init_params(spec, seed)
+            batch = 1 if len(errs) % 2 == 0 else int(rng.integers(2, 5))
+            cfg, encoder, sentences, idx, labels, params = _training_instance(
+                arch, encoding, fine_tune, batch, rng, seed)
             seed += 1
-            if arch == "cnn" and not _cnn_fd_safe(params, x, eps):
+            if arch == "cnn" and not all(_cnn_fd_safe(params, _oracle_rows(encoder, t), eps)
+                                         for t in sentences):
                 redrawn += 1
                 continue
+            grads_fn, _ = _batch_functions(cfg, encoder)
+            tensors = params.tensors()
+            if fine_tune:  # the matrix trains as one more tensor, as in train_run
+                tensors = dict(tensors, embeddings=encoder.matrix)
 
             def loss_fn():
-                probs, _ = M.forward(params, x)
-                return cross_entropy(probs, label)
+                return grads_fn(params, idx, labels, None)[0]
 
             def grad_fn():
-                _, trace = M.forward(params, x)
-                return M.backward(params, trace, label)
+                return {name: np.asarray(g)
+                        for name, g in grads_fn(params, idx, labels, None)[1].items()}
 
-            errs.append(grad_check(loss_fn, grad_fn, params.tensors(), eps=eps,
-                                   max_coords=100_000))
-        worst[arch] = max(errs)
+            errs.append(grad_check(loss_fn, grad_fn, tensors, eps=eps, max_coords=100_000))
+        worst["-".join([arch, encoding] + ["tuned"] * fine_tune)] = max(errs)
     elapsed = time.perf_counter() - start
     ok = all(err < 1e-4 for err in worst.values()) and elapsed < 60.0
-    detail = ("max relative gradient error vs central differences: "
+    detail = ("max relative error of the training gradient vs central differences: "
               + ", ".join(f"{a}={e:.2e}" for a, e in worst.items())
               + f" (threshold 1e-4, {elapsed:.1f}s, {redrawn} kink-adjacent "
               "draws replaced)")
@@ -196,8 +232,74 @@ def softmax_oracle(z):
     return np.array([float(e / total) for e in exps])
 
 
+def loss_oracle(features, w, b, label):
+    """Cross-entropy of a linear softmax layer, in 50-digit decimals."""
+    getcontext().prec = 50
+    logits = [sum(Decimal(float(x)) * Decimal(float(w[j, c])) for j, x in enumerate(features))
+              + Decimal(float(b[c])) for c in range(w.shape[1])]
+    exps = [z.exp() for z in logits]
+    return float(-max(exps[label] / sum(exps), Decimal(1e-15)).ln())
+
+
 def test_criterion_02_oracle_equivalence():
+    """The shipped batched kernels against brute-force evaluation."""
     start = time.perf_counter()
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    # convolution of embedding rows and of hashed one-hot rows (pad = -1
+    # anywhere): every shape with n,d,o,w <= 6 and w <= n, two sentences each
+    for n in range(1, 7):
+        for w in range(1, n + 1):
+            for d in range(1, 7):
+                for o in range(1, 7):
+                    f = rng.normal(size=(o, d, w))
+                    b = rng.normal(size=o)
+                    params = M.CnnParams(np.ascontiguousarray(f.transpose(1, 2, 0)), b,
+                                         np.zeros((o, 1)), np.zeros(1),
+                                         np.zeros((1, 2)), np.zeros(2))
+                    xs = rng.normal(size=(2, n, d))
+                    idx = rng.integers(-1, d, size=(2, n))
+                    dense, _ = _dense_conv(params, xs)
+                    hashed, _ = _hashed_conv(params, idx)
+                    for i in range(2):
+                        want_hashed = conv_oracle(oracles.densify(idx[i], d), f, b)
+                        worst = max(worst, np.max(np.abs(dense[i] - conv_oracle(xs[i], f, b))),
+                                    np.max(np.abs(hashed[i] - want_hashed)))
+    # pooling: every rows-by-cols shape <= 6, on real values and on small
+    # integers whose ties must go to the earliest row
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            y = np.stack([rng.normal(size=(rows, cols)),
+                          rng.integers(-2, 3, size=(rows, cols)).astype(float)])
+            pooled, argmax = _pool_batch(y)
+            for i in range(2):
+                for c in range(cols):
+                    col = list(y[i, :, c])
+                    worst = max(worst, abs(pooled[i, c] - max(col)))
+                    assert argmax[i, c] == col.index(max(col))
+    # softmax rows and the head's per-example losses against 50-digit decimals
+    for k in range(1, 7):
+        for _ in range(20):
+            z = rng.normal(scale=3.0, size=(3, k))
+            probs = softmax_rows(z)
+            for row, want in zip(probs, map(softmax_oracle, z)):
+                worst = max(worst, float(np.max(np.abs(row - want))))
+            features = rng.normal(size=(3, 4))
+            w, b = rng.normal(scale=1.5, size=(4, k)), rng.normal(size=k)
+            labels = rng.integers(k, size=3)
+            losses = head_grads(features, w, b, labels)[0]
+            for loss, x, label in zip(losses, features, labels):
+                want = loss_oracle(x, w, b, label)
+                worst = max(worst, abs(loss - want) / max(1.0, abs(want)))
+    elapsed = time.perf_counter() - start
+    ok = worst < 1e-10
+    report(2, ok, f"max deviation of the batched kernels from brute-force oracles "
+                  f"{worst:.2e} (threshold 1e-10, {elapsed:.1f}s)")
+
+
+def test_reference_ops_match_brute_force():
+    """The per-example oracles the other tests compare against, held to
+    criterion 2's bound."""
     rng = np.random.default_rng(7)
     worst = 0.0
     # convolution: every shape with n,d,o,w <= 6 and w <= n
@@ -231,10 +333,7 @@ def test_criterion_02_oracle_equivalence():
             want_ce = float(-Decimal(float(max(want[label], 1e-15))).ln())
             worst = max(worst, abs(cross_entropy(probs, label) - want_ce) /
                         max(1.0, abs(want_ce)))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-10
-    report(2, ok, f"max deviation from brute-force oracles {worst:.2e} "
-                  f"(threshold 1e-10, {elapsed:.1f}s)")
+    assert worst < 1e-10, f"max deviation from brute-force oracles {worst:.2e}"
 
 
 # --- criteria 3-6: published comparison (requires public files) --------------

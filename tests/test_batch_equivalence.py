@@ -28,9 +28,11 @@ from sentclass.models.rnn import (rnn_batch_grads, rnn_batch_grads_hashed, rnn_b
                                   rnn_batch_probs_hashed)
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import CountEncoder
-from sentclass.optim import cross_entropy, grad_check
-from sentclass.tensor import RowGrad, make_rng, softmax_rows
-from sentclass.text import build_vocabulary, count_vector
+from sentclass.tensor import RowGrad, softmax_rows
+from sentclass.text import build_vocabulary
+
+import oracles
+from oracles import count_vector, cross_entropy, densify, grad_check, make_rng
 
 
 def mean_reference_grads(params, xs, labels, train=False, rng=None):
@@ -38,23 +40,15 @@ def mean_reference_grads(params, xs, labels, train=False, rng=None):
     total = None
     losses = []
     for x, label in zip(xs, labels):
-        probs, trace = M.forward(params, x, train=train, rng=rng)
+        probs, trace = oracles.forward(params, x, train=train, rng=rng)
         losses.append(cross_entropy(probs, int(label)))
-        grads = M.backward(params, trace, int(label))
+        grads = oracles.backward(params, trace, int(label))
         if total is None:
             total = {k: v.copy() for k, v in grads.items()}
         else:
             for k, v in grads.items():
                 total[k] += v
     return np.array(losses), {k: v / len(labels) for k, v in total.items()}
-
-
-def densify(idx, dim):
-    """Explicit one-hot rows for index sequences (pad = -1)."""
-    dense = np.zeros((*idx.shape, dim))
-    rows, cols = np.nonzero(idx >= 0)
-    dense[rows, cols, idx[rows, cols]] = 1.0
-    return dense
 
 
 def assert_grads_close(got, want, atol=1e-12):
@@ -99,7 +93,7 @@ class TestFnnBatch:
             for sel in self.batches():
                 batch = fnn_batch_probs(params, self.idx[sel])
                 for row, i in zip(batch, sel):
-                    probs, _ = M.fnn_forward(params, self.xs[i])
+                    probs, _ = oracles.fnn_forward(params, self.xs[i])
                     np.testing.assert_allclose(row, probs, atol=1e-12)
 
     def test_loss_and_grads_match_mean(self):
@@ -139,7 +133,7 @@ class TestCnnBatch:
     def test_probs_match_per_example(self):
         batch = cnn_batch_probs(self.params, self.xs)
         for i, x in enumerate(self.xs):
-            probs, _ = M.cnn_forward(self.params, x)
+            probs, _ = oracles.cnn_forward(self.params, x)
             np.testing.assert_allclose(batch[i], probs, atol=1e-12)
 
     def test_grads_match_mean(self):
@@ -262,9 +256,9 @@ class TestCnnHashedPath:
 
 @pytest.mark.parametrize("spec,batch_grads,batch_probs,forward", [
     (M.RnnSpec(embed_dim=4, classes=3, hidden=5, dropout=0.0),
-     rnn_batch_grads, rnn_batch_probs, M.rnn_forward),
+     rnn_batch_grads, rnn_batch_probs, oracles.rnn_forward),
     (M.LstmSpec(embed_dim=4, classes=3, hidden=5, dropout=0.0),
-     lstm_batch_grads, lstm_batch_probs, M.lstm_forward),
+     lstm_batch_grads, lstm_batch_probs, oracles.lstm_forward),
 ])
 class TestRecurrentBatch:
     def test_probs_match_per_example(self, spec, batch_grads, batch_probs, forward):
@@ -476,7 +470,7 @@ class TestLstmFusedShapes:
                 ("hashed", idx, densify(idx, self.DIM), lstm_batch_probs_hashed,
                  lstm_batch_grads_hashed)):
             for got, x in zip(probs(params, batch_in), inputs):
-                np.testing.assert_allclose(got, M.lstm_forward(params, x)[0], atol=1e-12)
+                np.testing.assert_allclose(got, oracles.lstm_forward(params, x)[0], atol=1e-12)
             losses_ref, want = mean_reference_grads(params, inputs, labels)
             losses, got = grads(params, batch_in, labels, train=False)
             np.testing.assert_allclose(losses, losses_ref, atol=1e-12, err_msg=route)

@@ -2,13 +2,18 @@
 
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sentclass.models as M
+from sentclass.harness import cli
 from sentclass.harness.cli import main
-from sentclass.harness.run import _EVAL_CHUNK, load_curve
+from sentclass.harness.run import (_EVAL_CHUNK, OPTIMIZERS, ConfigError, RunConfig, _arch_spec,
+                                   load_curve, parse_config_text)
 from sentclass.embeddings import load_text_vectors
 from sentclass.harness.synth import write_embeddings_file
 from sentclass.models.checkpoint import MAGIC, MAGIC_V2, load_checkpoint, save_checkpoint
@@ -65,6 +70,24 @@ class TestTrainCommand:
                 "--format", "tsv", "--train", str(corpus_file),
                 "--out", str(tmp_path / "x")]
         assert main(args) == 1
+
+    @pytest.mark.parametrize("setting", ["window=0", "filters=0", "hidden=0", "lbfgs_memory=0",
+                                         "min_count=-3", "lr=-1", "decay=-5", "lr=nan",
+                                         "decay=inf"])
+    def test_out_of_range_setting_is_config_error(self, corpus_file, tmp_path, capsys,
+                                                  setting):
+        # the fnn route reads lbfgs_memory and min_count, the cnn route the rest
+        route = ("arch=fnn\nencoding=counts\noptimizer=lbfgs\n"
+                 if setting.startswith(("lbfgs_memory", "min_count"))
+                 else "arch=cnn\nencoding=onehot\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{route}dim=32\nepochs=1\nmax_len=6\n{setting}\n")
+        args = ["train", "--config", str(config), "--format", "tsv",
+                "--train", str(corpus_file), "--out", str(tmp_path / "run")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert setting.partition("=")[0] in err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         args = ["train", "--arch", "cnn", "--encoding", "onehot",
@@ -295,6 +318,12 @@ class TestUndecodableBytes:
         assert main(["bench", "--grid", str(grid)]) == 1
         assert f"{grid}: line 2: not valid UTF-8" in capsys.readouterr().err
 
+    def test_grid_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("one arch=cnn\ntwo dim=x\n")
+        assert main(["bench", "--grid", str(grid)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {grid}: line 2: ")
+
     @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
     def test_predict_line_is_data_error(self, corpus_file, tmp_path, capsys, monkeypatch,
                                         errors):
@@ -337,3 +366,67 @@ class TestBench:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+
+# config text: a valid route, in-range values for some fields, then up to
+# two fields set to anything (out of range, not finite, of the wrong type);
+# integers stay small, so no spec that passes validation allocates much
+_ROUTES = ([{"arch": a, "encoding": e, "optimizer": o} for a in ("cnn", "rnn", "lstm")
+            for e in ("glove", "word2vec", "onehot") for o in ("adagrad", "sgd")]
+           + [{"arch": "fnn", "encoding": "counts", "optimizer": o} for o in OPTIMIZERS])
+_SMALL = st.integers(1, 8).map(str)
+_IN_RANGE = {**{name: _SMALL for name in ("window", "filters", "batch", "epochs", "max_len",
+                                          "min_count", "seed", "lbfgs_memory")},
+             "dim": st.integers(2, 8).map(str), "hidden": _SMALL | st.just(""),
+             "dropout": st.sampled_from(["0", "0.1", "0.5"]),
+             "lr": st.sampled_from(["1e-3", "0.5", "2.5"]),
+             "decay": st.sampled_from(["0", "1e-3", "1"]),
+             "split_ratio": st.sampled_from(["0.5", "0.8"]),
+             "oov_policy": st.sampled_from(["zero", "random-fixed"]),
+             "fine_tune": st.sampled_from(["true", "false"]),
+             "embeddings": st.just("vectors.txt")}
+_ANY = st.sampled_from(["-2", "-1", "0", "1", "2.5", "nan", "inf", "-inf", "", "x", "1.5",
+                        "other"])
+
+
+@st.composite
+def config_mappings(draw):
+    mapping = {**draw(st.sampled_from(_ROUTES)),
+               **draw(st.fixed_dictionaries({}, optional=_IN_RANGE))}
+    for name in draw(st.lists(st.sampled_from([f.name for f in fields(RunConfig)]),
+                              max_size=2)):
+        mapping[name] = draw(_ANY)
+    return mapping
+
+
+def check_config(build):
+    """A config either is refused with ``ConfigError`` (exit 1) or gives a
+    spec that builds."""
+    try:
+        cfg = build()
+        cfg.validate()
+    except ConfigError:
+        return
+    M.init_params(_arch_spec(cfg, 8, 2), 0)
+
+
+class TestConfigProperty:
+    @settings(max_examples=500, deadline=None)
+    @given(mapping=config_mappings())
+    def test_config_text_is_refused_or_builds(self, mapping):
+        text = "".join(f"{key}={value}\n" for key, value in mapping.items())
+        check_config(lambda: RunConfig(**parse_config_text(text)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(config_mappings(), min_size=1, max_size=3))
+    def test_grid_runs_are_refused_or_build(self, tmp_path_factory, runs):
+        grid = tmp_path_factory.getbasetemp() / "property.grid"
+        grid.write_text("".join(
+            " ".join([f"run{i}", *(f"{k}={v}" for k, v in mapping.items())]) + "\n"
+            for i, mapping in enumerate(runs)))
+        try:
+            entries = cli._parse_grid(grid, {})
+        except ConfigError:
+            return
+        for _, mapping in entries:
+            check_config(lambda: cli._split_mapping(mapping)[0])

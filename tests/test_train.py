@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sentclass.models as M
-from sentclass.embeddings import EmbeddingTable, lookup_matrix
+from sentclass.embeddings import EmbeddingTable
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import (
     ARCHS,
@@ -45,9 +45,12 @@ from sentclass.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from sentclass.optim import cross_entropy, lbfgs_minimize
+from sentclass.optim import lbfgs_minimize
 from sentclass.tensor import ShapeError, gather_rows
-from sentclass.text import PAD_TOKEN, build_vocabulary, count_vector, hash_index, pad_or_truncate
+from sentclass.text import PAD_TOKEN, build_vocabulary, hash_index
+
+import oracles
+from oracles import count_vector, cross_entropy, lookup_matrix, pad_or_truncate
 
 VALID_PAIRS = [(arch, encoding) for arch in ARCHS for encoding in ENCODINGS
                if (arch == "fnn") == (encoding == "counts")]
@@ -280,9 +283,11 @@ class TestEvaluate:
         for _, tokens in data.examples:
             if encoding == "onehot":
                 x = onehot_rows(pad_or_truncate(tokens, cfg.max_len), cfg.dim)
+            elif encoding == "counts":
+                x = oracles.counts(encoder, tokens)
             else:
-                x = encoder.encode(tokens)
-            probs, _ = M.forward(params, x)
+                x = oracles.embedding_rows(encoder, tokens)
+            probs, _ = oracles.forward(params, x)
             oracle.append(int(np.argmax(probs)))
         assert list(predict(params, encoder.encode_many(data), encoder)) == oracle
         hits = sum(label == want for (label, _), want in zip(data.examples, oracle))
@@ -318,10 +323,10 @@ class TestHashedEncoder:
     @example(sentences=[[], [PAD_TOKEN] * 3, ["a", PAD_TOKEN, "a", "b"] * 3], max_len=4, dim=2)
     def test_property_batch_is_the_stacked_oracle_rows(self, sentences, max_len, dim):
         # empty, padded and over-long sentences; one hash per distinct token
-        # per call must give the rows ``indices`` gives one by one
+        # per call must give the rows the oracle gives one by one
         encoder = HashedSequenceEncoder(dim, max_len)
         got = encoder.encode_many(Dataset([(0, tokens) for tokens in sentences], ["a"]))
-        want = np.array([encoder.indices(tokens) for tokens in sentences],
+        want = np.array([oracles.hashed_indices(encoder, tokens) for tokens in sentences],
                         dtype=np.int64).reshape(len(sentences), max_len)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
@@ -417,7 +422,7 @@ class TestLbfgsTouchedRows:
         params, curve = train_run(cfg, data, data, encoder=encoder)
         assert curve.stop_reason == "max_iterations"
 
-        xs = np.array([encoder.encode(tokens) for _, tokens in data.examples])
+        xs = np.array([oracles.counts(encoder, tokens) for _, tokens in data.examples])
         ys = np.array([label for label, _ in data.examples])
         untouched = np.flatnonzero(xs.sum(axis=0) == 0)
         assert 0 < untouched.size < cfg.dim
@@ -439,9 +444,9 @@ class TestLbfgsTouchedRows:
             unpack(vec)
             loss, total = 0.0, {k: np.zeros_like(t) for k, t in tensors.items()}
             for x, y in zip(xs, ys):
-                probs, trace = M.forward(oracle, x)
+                probs, trace = oracles.forward(oracle, x)
                 loss += cross_entropy(probs, int(y))
-                for k, g in M.backward(oracle, trace, int(y)).items():
+                for k, g in oracles.backward(oracle, trace, int(y)).items():
                     total[k] += g
             return loss / len(ys), np.concatenate([total[k].ravel() / len(ys) for k in tensors])
 
