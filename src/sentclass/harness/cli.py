@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from ..embeddings import (
+    OOV_RANDOM,
+    OOV_ZERO,
     EmbeddingFormatError,
     load_binary_vectors,
     load_text_vectors,
@@ -199,10 +201,15 @@ def _encoder_from_meta(meta: dict, params, embeddings_override=None):
     if not (isinstance(meta["dim"], int) and meta["dim"] == width):
         raise CheckpointError(f"checkpoint metadata dim {meta['dim']!r} does not match "
                               f"the model's input width {width}")
+    problem = _meta_problem(meta, params, encoding)
+    if problem:
+        raise CheckpointError(f"checkpoint metadata {problem}")
     if encoding in ("glove", "word2vec"):
         path = embeddings_override or meta.get("embeddings")
         if not path:
             raise ConfigError("checkpoint has no embeddings path; pass --embeddings")
+        if not isinstance(path, str):
+            raise CheckpointError(f"checkpoint metadata embeddings {path!r} is not a path")
         loader = load_text_vectors if encoding == "glove" else load_binary_vectors
         table = loader(path)
         if table.dim != width:
@@ -218,6 +225,35 @@ def _encoder_from_meta(meta: dict, params, embeddings_override=None):
         return HashedSequenceEncoder(meta["dim"], meta["max_len"])
     vocab = Vocabulary.from_items(meta["vocab"], meta.get("min_count", 1))
     return CountEncoder(vocab, meta["dim"])
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _meta_problem(meta: dict, params, encoding: str) -> str | None:
+    """What is wrong with the metadata values the ``encoding`` reads, or None."""
+    labels = meta["labels"]
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+            and len(set(labels)) == len(labels) == params.classes):
+        return f"labels {labels!r} are not {params.classes} distinct strings"
+    least = params.window if params.arch == "cnn" else 1
+    if not _is_int(meta["max_len"], least):
+        return f"max_len {meta['max_len']!r} is not an integer of at least {least}"
+    if encoding in ("glove", "word2vec"):
+        if not _is_int(meta["seed"], 0):
+            return f"seed {meta['seed']!r} is not a non-negative integer"
+        if meta["oov_policy"] not in (OOV_ZERO, OOV_RANDOM):
+            return f"names no known OOV policy: {meta['oov_policy']!r}"
+    if encoding == "counts":
+        vocab = meta["vocab"]
+        if not (isinstance(vocab, list) and all(
+                isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+                and _is_int(item[1], 0) for item in vocab)):
+            return "vocab is not a list of [token, count] pairs"
+        if "min_count" in meta and not _is_int(meta["min_count"], 1):
+            return f"min_count {meta['min_count']!r} is not an integer of at least 1"
+    return None
 
 
 def _tuned_rows(meta: dict, dim: int):

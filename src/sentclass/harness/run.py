@@ -388,6 +388,8 @@ def train_run(cfg: RunConfig, train: Dataset, test: Dataset, encoder=None):
     cfg.validate()
     if len(train.examples) == 0:
         raise ConfigError("training set is empty")
+    if len(test.examples) == 0:
+        raise ConfigError("test set is empty")
     test = align_labels(train, test)
     if encoder is None:
         encoder = build_encoder(cfg, train)

@@ -10,13 +10,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import RowGrad, row_table, softmax_rows
+from ..tensor import RowGrad, row_sums, row_table, softmax_rows
 from .head import head_grads
+from .params import TensorTable, check_widths, glorot
 
 
 @dataclass
-class CnnParams:
+class CnnParams(TensorTable):
     arch: ClassVar[str] = "cnn"
+    DIMS: ClassVar[dict] = {"filters": ("embed", "window", "filters"), "conv_bias": ("filters",),
+                            "w_fc": ("filters", "hidden"), "b_fc": ("hidden",),
+                            "w_out": ("hidden", "classes"), "b_out": ("classes",)}
     filters: np.ndarray  # (embed_dim, window, n_filters): one input row per embed index
     conv_bias: np.ndarray  # (n_filters,)
     w_fc: np.ndarray  # (n_filters, hidden)
@@ -45,62 +49,33 @@ class CnnParams:
     def classes(self) -> int:
         return self.w_out.shape[1]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "filters": self.filters,
-            "conv_bias": self.conv_bias,
-            "w_fc": self.w_fc,
-            "b_fc": self.b_fc,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-        }
-
-    def dims(self) -> dict[str, tuple[str, ...]]:
-        """Each tensor's axes by name; axes with one name have one size."""
-        return {"filters": ("embed", "window", "filters"), "conv_bias": ("filters",),
-                "w_fc": ("filters", "hidden"), "b_fc": ("hidden",),
-                "w_out": ("hidden", "classes"), "b_out": ("classes",)}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "CnnParams":
-        return cls(dropout=dropout, **{k: tensors[k] for k in
-                                       ("filters", "conv_bias", "w_fc", "b_fc", "w_out", "b_out")})
-
 
 # filters drawn per block in ``init_cnn``: small enough that a block's draw is
 # cheap to hold beside the bank, large enough that the loop costs nothing
 _INIT_BLOCK = 16
 
 
-def init_cnn(embed_dim: int, classes: int, n_filters: int = 256, window: int = 3,
-             hidden: int = 128, dropout: float = 0.1, seed=0) -> CnnParams:
+def init_cnn(embed_dim: int, classes: int, n_filters: int, window: int, hidden: int,
+             dropout: float, seed) -> CnnParams:
     """Glorot-uniform weights (conv fan-in is embed_dim * window), zero biases.
 
     The filter bank takes the draws in filter-major (n_filters, embed_dim,
     window) order, block by block, and stores each block transposed, so a
     seed gives the same weights in either layout.
     """
-    if min(embed_dim, classes, n_filters, window, hidden) < 1:
-        raise ValueError("all widths must be at least 1")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
+    check_widths(dropout, embed_dim, classes, n_filters, window, hidden)
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, shape)
-
     filters = np.empty((embed_dim, window, n_filters))
     for lo in range(0, n_filters, _INIT_BLOCK):
-        block = glorot(embed_dim * window, n_filters,
+        block = glorot(rng, embed_dim * window, n_filters,
                        (min(_INIT_BLOCK, n_filters - lo), embed_dim, window))
         filters[:, :, lo:lo + len(block)] = block.transpose(1, 2, 0)
     return CnnParams(
         filters=filters,
         conv_bias=np.zeros(n_filters),
-        w_fc=glorot(n_filters, hidden, (n_filters, hidden)),
+        w_fc=glorot(rng, n_filters, hidden, (n_filters, hidden)),
         b_fc=np.zeros(hidden),
-        w_out=glorot(hidden, classes, (hidden, classes)),
+        w_out=glorot(rng, hidden, classes, (hidden, classes)),
         b_out=np.zeros(classes),
         dropout=dropout,
     )
@@ -202,18 +177,13 @@ def _hashed_conv(params, idx):
 def _hashed_filter_grad(params, d_conv, lookup) -> RowGrad:
     """The filter gradient of a hashed batch from the gradient at the
     convolution output: for each offset k, each touched row's slice k sums
-    the d_conv rows of the windows that read it.
-
-    ``np.bincount`` adds each bin's terms in input order, as ``np.add.at``
-    does, so each entry is bit-for-bit a dense scatter-add of the batch.
-    """
+    the d_conv rows of the windows that read it, in input order, so each
+    entry is bit-for-bit a dense scatter-add of the batch."""
     slots, rows, pad = lookup
-    t_steps, width = d_conv.shape[1], params.n_filters
-    sums = np.empty((rows.size, params.window, width))
-    terms = d_conv.reshape(-1)
+    t_steps = d_conv.shape[1]
+    sums = np.empty((rows.size, params.window, params.n_filters))
     for k in range(params.window):
-        targets = (slots[:, k:k + t_steps, None] * width + np.arange(width)).reshape(-1)
-        sums[:, k, :] = np.bincount(targets, terms, rows.size * width).reshape(-1, width)
+        sums[:, k, :] = row_sums(d_conv, slots[:, k:k + t_steps], rows.size)
     return RowGrad(rows[pad:], sums[pad:], params.filters.shape)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from ..tensor import RowGrad, _distinct, sigmoid, softmax_rows
 from .head import head_grads
+from .params import glorot
 
 
 @dataclass
@@ -16,10 +17,6 @@ class FnnParams:
     arch: ClassVar[str] = "fnn"
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     @property
     def classes(self) -> int:
@@ -56,8 +53,7 @@ def init_fnn(layer_sizes, seed) -> FnnParams:
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
+        weights.append(glorot(rng, fan_in, fan_out, (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return FnnParams(weights=weights, biases=biases)
 

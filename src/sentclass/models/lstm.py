@@ -31,13 +31,17 @@ import numpy as np
 
 from ..tensor import ShapeError, gather_rows, scatter_rows, sigmoid, softmax_rows
 from .head import head_grads
+from .params import TensorTable, check_widths, glorot
 
 _GATES = ("i", "f", "o", "g")
 
 
 @dataclass
-class LstmParams:
+class LstmParams(TensorTable):
     arch: ClassVar[str] = "lstm"
+    DIMS: ClassVar[dict] = {"wx": ("embed", "gates"), "wh": ("hidden", "gates"),
+                            "b": ("gates",), "w_head": ("hidden", "classes"),
+                            "b_head": ("classes",)}
     wx: np.ndarray  # (embed_dim, 4 * hidden), the gates side by side in _GATES order
     wh: np.ndarray  # (hidden, 4 * hidden)
     b: np.ndarray  # (4 * hidden,)
@@ -46,7 +50,7 @@ class LstmParams:
     dropout: float = 0.1
 
     def __post_init__(self):
-        # dims() names the gate axis, but cannot say that it is four hidden widths
+        # DIMS names the gate axis, but cannot say that it is four hidden widths
         shape = np.shape(self.wh)
         if len(shape) == 2 and shape[1] != 4 * shape[0]:
             raise ShapeError(f"tensor 'wh' has shape {list(shape)}: "
@@ -64,44 +68,21 @@ class LstmParams:
     def classes(self) -> int:
         return self.w_head.shape[1]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"wx": self.wx, "wh": self.wh, "b": self.b,
-                "w_head": self.w_head, "b_head": self.b_head}
 
-    def dims(self) -> dict[str, tuple[str, ...]]:
-        """Each tensor's axes by name; axes with one name have one size."""
-        return {"wx": ("embed", "gates"), "wh": ("hidden", "gates"), "b": ("gates",),
-                "w_head": ("hidden", "classes"), "b_head": ("classes",)}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "LstmParams":
-        return cls(dropout=dropout,
-                   **{k: tensors[k] for k in ("wx", "wh", "b", "w_head", "b_head")})
-
-
-def init_lstm(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0.1,
-              seed=0) -> LstmParams:
+def init_lstm(embed_dim: int, classes: int, hidden: int, dropout: float, seed) -> LstmParams:
     """Glorot-uniform gate weights; biases zero except the forget gate at 1.
 
     Each gate's (d, h) and (h, h) blocks are drawn in turn, in ``_GATES``
     order, into its columns of ``wx`` and ``wh``."""
-    if min(embed_dim, classes, hidden) < 1:
-        raise ValueError("all widths must be at least 1")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
+    check_widths(dropout, embed_dim, classes, hidden)
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, shape)
-
     wx, wh = np.empty((embed_dim, 4 * hidden)), np.empty((hidden, 4 * hidden))
     for wx_gate, wh_gate in zip(np.split(wx, 4, axis=1), np.split(wh, 4, axis=1)):
-        wx_gate[...] = glorot(embed_dim, hidden, (embed_dim, hidden))
-        wh_gate[...] = glorot(hidden, hidden, (hidden, hidden))
+        wx_gate[...] = glorot(rng, embed_dim, hidden, (embed_dim, hidden))
+        wh_gate[...] = glorot(rng, hidden, hidden, (hidden, hidden))
     b = np.zeros(4 * hidden)
     b[hidden:2 * hidden] = 1.0  # a forget-gate bias of 1 keeps early memory open
-    w_head = glorot(hidden, classes, (hidden, classes))
+    w_head = glorot(rng, hidden, classes, (hidden, classes))
     return LstmParams(wx=wx, wh=wh, b=b, w_head=w_head, b_head=np.zeros(classes),
                       dropout=dropout)
 

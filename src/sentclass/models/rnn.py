@@ -12,13 +12,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import gather_rows, scatter_rows, sigmoid, softmax_rows
+from ..tensor import gather_rows, row_table, scatter_rows, sigmoid, softmax_rows
 from .head import head_grads
+from .params import TensorTable, check_widths, glorot
 
 
 @dataclass
-class RnnParams:
+class RnnParams(TensorTable):
     arch: ClassVar[str] = "rnn"
+    DIMS: ClassVar[dict] = {"w_in": ("embed", "hidden"), "w_rec": ("hidden", "hidden"),
+                            "b_rec": ("hidden",), "w_head": ("hidden", "classes"),
+                            "b_head": ("classes",)}
     w_in: np.ndarray  # (embed_dim, hidden)
     w_rec: np.ndarray  # (hidden, hidden)
     b_rec: np.ndarray  # (hidden,)
@@ -38,43 +42,15 @@ class RnnParams:
     def classes(self) -> int:
         return self.w_head.shape[1]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "w_in": self.w_in,
-            "w_rec": self.w_rec,
-            "b_rec": self.b_rec,
-            "w_head": self.w_head,
-            "b_head": self.b_head,
-        }
 
-    def dims(self) -> dict[str, tuple[str, ...]]:
-        """Each tensor's axes by name; axes with one name have one size."""
-        return {"w_in": ("embed", "hidden"), "w_rec": ("hidden", "hidden"),
-                "b_rec": ("hidden",), "w_head": ("hidden", "classes"), "b_head": ("classes",)}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], dropout: float = 0.1) -> "RnnParams":
-        return cls(dropout=dropout, **{k: tensors[k] for k in
-                                       ("w_in", "w_rec", "b_rec", "w_head", "b_head")})
-
-
-def init_rnn(embed_dim: int, classes: int, hidden: int = 256, dropout: float = 0.1,
-             seed=0) -> RnnParams:
-    if min(embed_dim, classes, hidden) < 1:
-        raise ValueError("all widths must be at least 1")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
+def init_rnn(embed_dim: int, classes: int, hidden: int, dropout: float, seed) -> RnnParams:
+    check_widths(dropout, embed_dim, classes, hidden)
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, shape)
-
     return RnnParams(
-        w_in=glorot(embed_dim, hidden, (embed_dim, hidden)),
-        w_rec=glorot(hidden, hidden, (hidden, hidden)),
+        w_in=glorot(rng, embed_dim, hidden, (embed_dim, hidden)),
+        w_rec=glorot(rng, hidden, hidden, (hidden, hidden)),
         b_rec=np.zeros(hidden),
-        w_head=glorot(hidden, classes, (hidden, classes)),
+        w_head=glorot(rng, hidden, classes, (hidden, classes)),
         b_head=np.zeros(classes),
         dropout=dropout,
     )
@@ -88,13 +64,18 @@ def _input_projection(params, xs):
     return np.ascontiguousarray(np.einsum("bnd,dh->nbh", xs, params.w_in, optimize=True))
 
 
+def _step(params, pre, h):
+    """The hidden state after ``h``, written over its step's projection ``pre``."""
+    pre += h @ params.w_rec
+    pre += params.b_rec
+    return sigmoid(pre, out=pre)
+
+
 def _batch_hiddens(params, hs):
     """Hidden states from h_0 = 0, each written over its step's projection in ``hs``."""
     h = np.zeros(hs.shape[1:])
     for t in range(hs.shape[0]):
-        hs[t] += h @ params.w_rec
-        hs[t] += params.b_rec
-        h = sigmoid(hs[t], out=hs[t])
+        h = _step(params, hs[t], h)
     return hs
 
 
@@ -105,22 +86,26 @@ def rnn_batch_probs(params: RnnParams, xs: np.ndarray) -> np.ndarray:
 
 
 def rnn_batch_probs_hashed(params: RnnParams, idx: np.ndarray) -> np.ndarray:
-    """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    hs = _batch_hiddens(params, gather_rows(params.w_in, idx.T))
-    return softmax_rows(hs[-1] @ params.w_head + params.b_head)
+    """Eval-mode distributions for hashed index sequences (B, n), keeping one state."""
+    table, slots, _, _ = row_table(params.w_in, idx)
+    h = np.zeros((idx.shape[0], params.hidden))
+    for t in range(idx.shape[1]):
+        h = _step(params, table[slots[:, t]], h)
+    return softmax_rows(h @ params.w_head + params.b_head)
 
 
-def _batch_grads(params, hs, labels, train, rng, input_grad):
+def _batch_grads(params, hs, labels, train, rng):
     """Losses and the gradients of every tensor but ``w_in`` from the hidden states
-    ``hs``; BPTT hands each step's pre-activation gradient to ``input_grad(t, dpre)``,
-    last step first, and reads ``hs[t]`` no more after that call."""
+    ``hs``.  BPTT overwrites each step's slot of ``hs`` with that step's
+    pre-activation gradient once it has read the state there; ``hs`` then
+    holds them all for the ``w_in`` gradient."""
     losses, g_w_head, g_b_head, dh = head_grads(
         hs[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     g_w_rec = np.zeros_like(params.w_rec)
     g_b_rec = np.zeros_like(params.b_rec)
     for t in reversed(range(hs.shape[0])):
         dpre = dh * hs[t] * (1.0 - hs[t])
-        input_grad(t, dpre)
+        hs[t] = dpre
         g_b_rec += dpre.sum(axis=0)
         if t == 0:
             break  # h_0 is the zero state: nothing left to propagate to
@@ -133,16 +118,14 @@ def rnn_batch_grads(params: RnnParams, xs: np.ndarray, labels: np.ndarray,
                     train: bool = True, rng: np.random.Generator | None = None,
                     want_dx: bool = False):
     """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
+    hs = _batch_hiddens(params, _input_projection(params, xs))
+    losses, grads = _batch_grads(params, hs, labels, train, rng)
     g_w_in = np.zeros_like(params.w_in)
     dx = np.empty_like(xs) if want_dx else None
-
-    def input_grad(t, dpre):
-        g_w_in[...] += xs[:, t, :].T @ dpre
+    for t in reversed(range(hs.shape[0])):
+        g_w_in += xs[:, t, :].T @ hs[t]
         if want_dx:
-            dx[:, t, :] = dpre @ params.w_in.T
-
-    hs = _batch_hiddens(params, _input_projection(params, xs))
-    losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
+            dx[:, t, :] = hs[t] @ params.w_in.T
     grads = {"w_in": g_w_in, **grads}
     return (losses, grads, dx) if want_dx else (losses, grads)
 
@@ -153,9 +136,5 @@ def rnn_batch_grads_hashed(params: RnnParams, idx: np.ndarray, labels: np.ndarra
     the input projection is a row gather, its gradient a ``RowGrad``."""
     steps = idx.T
     hs = _batch_hiddens(params, gather_rows(params.w_in, steps))
-
-    def input_grad(t, dpre):  # a spent step's slot keeps its gradient
-        hs[t] = dpre
-
-    losses, grads = _batch_grads(params, hs, labels, train, rng, input_grad)
+    losses, grads = _batch_grads(params, hs, labels, train, rng)
     return losses, {"w_in": scatter_rows(hs, steps, params.w_in.shape), **grads}

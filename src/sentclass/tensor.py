@@ -8,6 +8,7 @@ be shared read-only across threads; only ``sigmoid`` writes, and only into
 an ``out`` its caller hands it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,32 +115,41 @@ def gather_rows(w, idx) -> Tensor:
     return table[slots]
 
 
-# flat targets per np.add.at call in ``scatter_rows``: a 256 KB index, one
+# flat targets per np.add.at call in ``row_sums``: a 256 KB index, one
 # recurrent step of a 128-sentence batch at hidden width 256
 _SCATTER_TARGETS = 1 << 15
 
 
-def scatter_rows(values, idx, shape) -> RowGrad:
-    """Gradient of ``gather_rows(w, idx)`` for a ``shape`` tensor ``w``,
-    given the gradient ``values`` of its result.
+def row_sums(values, slots, n) -> Tensor:
+    """The ``n`` sums of the slices of ``values`` by slot: row j of the result
+    adds each ``values[i]`` whose ``slots[i]`` is j, in input order
+    (``np.add.at``), so it is bit-for-bit the row a dense scatter-add gives.
 
-    The entries of ``values`` are summed per distinct index in input order
-    (``np.add.at``), so each row is bit-for-bit the row a dense scatter-add
-    gives; the padding slot is dropped.
+    ``values`` has the shape of ``slots`` (an integer array, any strides)
+    followed by the slice's axes; the result has shape (n, *slice axes).
     """
-    rows, slots, pad = _distinct(idx)
-    width = int(np.prod(shape[1:]))
-    slots, values = slots.reshape(-1), values.reshape(idx.size, width)
-    sums = np.zeros(rows.size * width)
+    tail = values.shape[slots.ndim:]
+    width = math.prod(tail)
+    slots, values = slots.reshape(-1), values.reshape(slots.size, width)
+    sums = np.zeros(n * width)
     offsets = np.arange(width)
     block = max(1, _SCATTER_TARGETS // width)
     # one flat index per entry: np.add.at runs far faster on a 1-D target.
     # Built for a block of entries at a time, the index stays small, and the
     # blocks go in order, so each bin still gets its terms in input order
-    for lo in range(0, idx.size, block):
+    for lo in range(0, slots.size, block):
         targets = (slots[lo:lo + block, None] * width + offsets).reshape(-1)
         np.add.at(sums, targets, values[lo:lo + block].reshape(-1))
-    return RowGrad(rows[pad:], sums.reshape(rows.size, *shape[1:])[pad:], tuple(shape))
+    return sums.reshape(n, *tail)
+
+
+def scatter_rows(values, idx, shape) -> RowGrad:
+    """Gradient of ``gather_rows(w, idx)`` for a ``shape`` tensor ``w``,
+    given the gradient ``values`` of its result: the ``row_sums`` of each
+    distinct index, the padding slot dropped.
+    """
+    rows, slots, pad = _distinct(idx)
+    return RowGrad(rows[pad:], row_sums(values, slots, rows.size)[pad:], tuple(shape))
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> Tensor:

@@ -89,6 +89,16 @@ class TestTrainCommand:
         assert err.startswith("config error:") and "Traceback" not in err
         assert setting.partition("=")[0] in err
 
+    def test_empty_test_split_is_config_error(self, tmp_path, capsys):
+        # split 0.8 of two sentences leaves both for training and none to test
+        two = tmp_path / "two.tsv"
+        two.write_text("alpha\tcue0 pad1\nbeta\tcue1 pad2\n", encoding="utf-8")
+        args = ["train", "--format", "tsv", "--encoding", "onehot", "--train", str(two),
+                "--out", str(tmp_path / "run")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "test set is empty" in err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         args = ["train", "--arch", "cnn", "--encoding", "onehot",
                 "--format", "tsv", "--train", str(tmp_path / "missing.tsv"),
@@ -285,6 +295,39 @@ class TestEvalAndPredict:
                         meta)
         monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
         assert main(["predict", "--checkpoint", str(path)]) == 2
+
+
+    @pytest.mark.parametrize("route,key,value", [
+        ("onehot", "max_len", "x"), ("onehot", "max_len", -1), ("onehot", "max_len", 0),
+        ("cnn", "max_len", 1),
+        ("onehot", "labels", ["a"]), ("onehot", "labels", "ab"), ("onehot", "labels", [1, 2]),
+        ("onehot", "labels", ["a", "a"]),
+        ("counts", "vocab", [["x"]]), ("counts", "min_count", 0),
+        ("glove", "seed", "x"), ("glove", "seed", -1), ("glove", "oov_policy", "bogus"),
+        ("glove", "embeddings", 5),
+    ], ids=["max_len-text", "max_len-negative", "max_len-zero", "max_len-below-window",
+            "labels-too-few", "labels-text", "labels-ints", "labels-repeated",
+            "vocab-not-pairs", "min_count-zero", "seed-text", "seed-negative",
+            "oov_policy-unknown", "embeddings-int"])
+    def test_malformed_metadata_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                              route, key, value):
+        spec = M.RnnSpec(embed_dim=32, classes=2, hidden=4)
+        meta = {"labels": ["alpha", "beta"], "encoding": "onehot", "dim": 32, "max_len": 6}
+        if route == "cnn":
+            spec = M.CnnSpec(embed_dim=32, classes=2, n_filters=4, window=2, hidden=3)
+        elif route == "counts":
+            spec = M.FnnSpec((32, 4, 2))
+            meta.update(encoding="counts", vocab=[["cue0", 2], ["pad1", 2]], min_count=2)
+        elif route == "glove":
+            vectors = tmp_path / "vectors.txt"
+            write_embeddings_file(vectors, ["cue0", "pad1"], dim=32, seed=0)
+            meta.update(encoding="glove", oov_policy="zero", seed=1, embeddings=str(vectors))
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, M.init_params(spec, 0), {**meta, key: value})
+        monkeypatch.setattr("sys.stdin", io.StringIO("cue0 pad1\n"))
+        assert main(["predict", "--checkpoint", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error:") and "Traceback" not in err
 
 
 class TestUndecodableBytes:

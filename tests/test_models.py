@@ -4,6 +4,7 @@ Hand-trace tests recompute the expected values with plain scalar Python
 (independent of the vectorized implementation paths).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,6 +204,18 @@ class TestRnnForward:
         _, trace = oracles.rnn_forward(params, np.ones((6, 2)))
         assert trace.hiddens.shape == (6, 3)
 
+    def test_hashed_probs_keep_the_bits_of_the_all_states_buffer(self):
+        # eval keeps one state; the gradient route builds every step's state
+        from sentclass.models import rnn
+        from sentclass.tensor import gather_rows, softmax_rows
+        params = M.init_params(M.RnnSpec(embed_dim=64, classes=3, hidden=16, dropout=0.1), 2)
+        rng = np.random.default_rng(3)
+        for b, n in ((1, 1), (5, 7), (33, 20)):
+            idx = rng.integers(-1, 64, (b, n))
+            hs = rnn._batch_hiddens(params, gather_rows(params.w_in, idx.T))
+            expected = softmax_rows(hs[-1] @ params.w_head + params.b_head)
+            assert np.array_equal(rnn.rnn_batch_probs_hashed(params, idx), expected)
+
 
 class TestLstmForward:
     def zero_params(self, d=3, h=4, k=2):
@@ -343,6 +356,15 @@ class TestInitParams:
                                          window=2, hidden=5), 3)
         assert np.max(np.abs(params.filters)) <= np.sqrt(6.0 / (4 * 2 + 8))
         assert np.max(np.abs(params.w_fc)) <= np.sqrt(6.0 / (8 + 5))
+
+
+class TestTensorTable:
+    @pytest.mark.parametrize("arch", ["cnn", "rnn", "lstm"])
+    def test_dims_names_the_array_fields_in_order(self, arch):
+        # a tensor missing from DIMS would drop from checkpoints and the optimizer
+        cls = M.FAMILIES[arch].params
+        arrays = [f.name for f in dataclasses.fields(cls) if f.type is np.ndarray]
+        assert list(cls.DIMS) == arrays
 
 
 class TestPredict:

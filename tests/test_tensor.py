@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sentclass.tensor import (ShapeError, dropout_mask, gather_rows, scatter_rows, sigmoid,
-                              softmax_rows)
+from sentclass.tensor import (ShapeError, dropout_mask, gather_rows, row_sums, scatter_rows,
+                              sigmoid, softmax_rows)
 
 from oracles import SequenceTooShortError, conv1d_wgram, make_rng, max_pool_time, relu, softmax
 
@@ -376,6 +376,20 @@ class TestScatterRows:
     def test_no_rows(self, idx):
         g = scatter_rows(np.ones((*idx.shape, 5)), idx, (8, 5))
         assert g.rows.size == 0 and g.values.shape == (0, 5) and g.shape == (8, 5)
+
+    @pytest.mark.parametrize("targets", [1, 5, 64, 1 << 15])
+    def test_row_sums_of_a_window_slice_keep_the_bits(self, monkeypatch, targets):
+        # the CNN sums each offset k's windows through the strided slots[:, k:k+t]
+        monkeypatch.setattr("sentclass.tensor._SCATTER_TARGETS", targets)
+        rng = np.random.default_rng(48)
+        slots = rng.integers(0, 4, size=(5, 7))
+        values = rng.normal(size=(5, 5, 3))
+        for k in range(3):
+            window = slots[:, k:k + 5]
+            assert not window.flags.c_contiguous
+            dense = np.zeros((4, 3))
+            np.add.at(dense, np.ascontiguousarray(window).reshape(-1), values.reshape(-1, 3))
+            assert row_sums(values, window, 4).tobytes() == dense.tobytes()
 
     def test_is_the_adjoint_of_gather(self):
         # <gather(w), v> = <w, scatter(v)> for every w and v
