@@ -39,9 +39,6 @@ class Dataset:
     def label_count(self) -> int:
         return len(self.labels)
 
-    def label_name(self, index: int) -> str:
-        return self.labels[index]
-
 
 def _parse_question_line(line: str, path, lineno: int) -> tuple[str, list[str]]:
     head, _, rest = line.partition(" ")

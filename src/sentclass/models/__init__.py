@@ -9,15 +9,15 @@ path is open from the first epoch.
 """
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, ClassVar, Union
 
+from . import lstm, recurrent, rnn
 from .cnn import (CnnParams, cnn_batch_grads, cnn_batch_grads_hashed, cnn_batch_probs,
                   cnn_batch_probs_hashed, init_cnn)
 from .fnn import FnnParams, fnn_batch_loss_grads, fnn_batch_probs, init_fnn
-from .lstm import (LstmParams, init_lstm, lstm_batch_grads, lstm_batch_grads_hashed,
-                   lstm_batch_probs, lstm_batch_probs_hashed)
-from .rnn import (RnnParams, init_rnn, rnn_batch_grads, rnn_batch_grads_hashed, rnn_batch_probs,
-                  rnn_batch_probs_hashed)
+from .lstm import LstmParams, init_lstm
+from .rnn import RnnParams, init_rnn
 
 ModelParams = Union[FnnParams, CnnParams, RnnParams, LstmParams]
 
@@ -87,14 +87,20 @@ class Family:
     hashed_grads: Callable | None = None
 
 
+def _recurrent(params, spec, init, cell) -> Family:
+    """A family whose kernels are ``models.recurrent``'s, bound to ``cell``."""
+    return Family(params, spec, init, partial(recurrent.batch_probs, cell),
+                  partial(recurrent.batch_grads, cell), cell.INPUT,
+                  partial(recurrent.batch_probs_hashed, cell),
+                  partial(recurrent.batch_grads_hashed, cell))
+
+
 FAMILIES = {
     "fnn": Family(FnnParams, FnnSpec, init_fnn, fnn_batch_probs, fnn_batch_loss_grads, "w0"),
     "cnn": Family(CnnParams, CnnSpec, init_cnn, cnn_batch_probs, cnn_batch_grads, "filters",
                   cnn_batch_probs_hashed, cnn_batch_grads_hashed),
-    "rnn": Family(RnnParams, RnnSpec, init_rnn, rnn_batch_probs, rnn_batch_grads, "w_in",
-                  rnn_batch_probs_hashed, rnn_batch_grads_hashed),
-    "lstm": Family(LstmParams, LstmSpec, init_lstm, lstm_batch_probs, lstm_batch_grads, "wx",
-                   lstm_batch_probs_hashed, lstm_batch_grads_hashed),
+    "rnn": _recurrent(RnnParams, RnnSpec, init_rnn, rnn),
+    "lstm": _recurrent(LstmParams, LstmSpec, init_lstm, lstm),
 }
 
 

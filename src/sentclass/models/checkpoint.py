@@ -79,7 +79,7 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
         with fh:
             fh.write(head)
             for tensor in (*tensors.values(), *arrays.values()):
-                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -34,20 +34,8 @@ class CnnParams(TensorTable):
         return self.filters.shape[1]
 
     @property
-    def embed_dim(self) -> int:
-        return self.filters.shape[0]
-
-    @property
     def n_filters(self) -> int:
         return self.filters.shape[2]
-
-    @property
-    def hidden(self) -> int:
-        return self.w_fc.shape[1]
-
-    @property
-    def classes(self) -> int:
-        return self.w_out.shape[1]
 
 
 # filters drawn per block in ``init_cnn``: small enough that a block's draw is

@@ -10,18 +10,14 @@ Per step, from x_t, h_{t-1} and c_{t-1}:
     h_t    = gate_o * tanh(c_t)
 
 The last hidden state feeds the same dropout-plus-linear-softmax head as
-the simple recurrent model.  Backpropagation through time is exact.
+the simple recurrent model, and ``models.recurrent`` runs both cells.
+Backpropagation through time is exact.
 
 The four gates are stored side by side in ``_GATES`` order: ``wx`` is
 (d, 4h), ``wh`` (h, 4h) and ``b`` (4h), and gate k owns columns k*h to
-(k+1)*h of each.  The batched kernels hold a batch's gates in one
-C-contiguous (n, B, 4h) buffer.  It starts as the input projections; each
-step adds one (B, h)@(h, 4h) recurrent product and overwrites its slice with
-the gate values; backpropagation reads them and overwrites the spent slice
-with that step's pre-activation gradients, from which one product per step
-gives the gradient of h_{t-1}.  The weight gradients are then products over
-all steps at once: ``wh``'s with K = (n-1)B, ``wx``'s with K = nB (or one
-row scatter for hashed rows).
+(k+1)*h of each.  So a step is one (B, h)@(h, 4h) recurrent product into
+its (B, 4h) slice, and backward one product per step for the gradient of
+h_{t-1} and one over all steps, K = (n-1)B, for ``wh``'s.
 """
 
 from dataclasses import dataclass
@@ -29,8 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..tensor import ShapeError, gather_rows, scatter_rows, sigmoid, softmax_rows
-from .head import head_grads
+from ..tensor import ShapeError, sigmoid
 from .params import TensorTable, check_widths, glorot
 
 _GATES = ("i", "f", "o", "g")
@@ -56,18 +51,6 @@ class LstmParams(TensorTable):
             raise ShapeError(f"tensor 'wh' has shape {list(shape)}: "
                              f"its gate axis must be 4 x hidden = {4 * shape[0]}")
 
-    @property
-    def hidden(self) -> int:
-        return self.wh.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.wx.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.w_head.shape[1]
-
 
 def init_lstm(embed_dim: int, classes: int, hidden: int, dropout: float, seed) -> LstmParams:
     """Glorot-uniform gate weights; biases zero except the forget gate at 1.
@@ -87,55 +70,44 @@ def init_lstm(embed_dim: int, classes: int, hidden: int, dropout: float, seed) -
                       dropout=dropout)
 
 
-def _input_projections(params, xs):
-    """x_t Wx for every step, as a fresh (n, B, 4h) gate buffer: one (B, d)@(d, 4h)
-    product per step, reading ``xs[:, t]`` in place and writing its slice."""
-    return np.matmul(xs.transpose(1, 0, 2), params.wx)
+INPUT = "wx"
 
 
-def _batch_cell(params, gates):
-    """Run the cell from zero state over the gate buffer ``gates``; each step adds
-    its recurrent product and the bias to its slice, then overwrites it with
-    logistic i, f, o and the tanh candidate.  Returns ``(gates, cells, hiddens)``."""
+def step(params, z, state, out=(None, None, None)):
+    """The state ``(h, c)`` after ``state`` (None: the zero state).  The step's
+    projection ``z`` takes the recurrent product, the bias and then the gate
+    values; ``out`` holds optional buffers for h, c and the recurrent product."""
+    h, c = state if state is not None else (None, 0.0)
+    h_out, c_out, recurrent = out
+    hid = z.shape[1] // 4
+    if h is not None:
+        z += np.matmul(h, params.wh, out=recurrent)
+    z += params.b
+    sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
+    np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+    gate_i, gate_f, gate_o, cand = np.split(z, 4, axis=1)
+    c = np.add(gate_i * cand, gate_f * c, out=c_out)
+    return np.multiply(gate_o, np.tanh(c), out=h_out), c
+
+
+def unroll(params, gates):
+    """Run the cell from the zero state over the gate buffer ``gates``, each
+    step's slice overwritten with its gate values.  Returns ``(gates, cells,
+    hiddens)``."""
     n, b, width = gates.shape
-    hid = width // 4
-    cells, hiddens = np.empty((2, n, b, hid))
-    c = np.zeros((b, hid))
-    recurrent = np.empty((b, width))
+    cells, hiddens = np.empty((2, n, b, width // 4))
+    state, recurrent = None, np.empty((b, width))
     for t in range(n):
-        z = gates[t]
-        if t:  # h_0 is the zero state
-            z += np.matmul(hiddens[t - 1], params.wh, out=recurrent)
-        z += params.b
-        sigmoid(z[:, :3 * hid], out=z[:, :3 * hid])
-        np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
-        gate_i, gate_f, gate_o, cand = np.split(z, 4, axis=1)
-        c = np.add(gate_i * cand, gate_f * c, out=cells[t])
-        np.multiply(gate_o, np.tanh(c), out=hiddens[t])
+        state = step(params, gates[t], state, out=(hiddens[t], cells[t], recurrent))
     return gates, cells, hiddens
 
 
-def lstm_batch_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
-    """Eval-mode class distributions for a (B, n, d) batch."""
-    *_, hiddens = _batch_cell(params, _input_projections(params, xs))
-    return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
-
-
-def lstm_batch_probs_hashed(params: LstmParams, idx: np.ndarray) -> np.ndarray:
-    """Eval-mode distributions for hashed one-hot index sequences (B, n)."""
-    *_, hiddens = _batch_cell(params, gather_rows(params.wx, idx.T))
-    return softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
-
-
-def _batch_grads(params, states, labels, train, rng):
-    """Losses and the gradients of every tensor but ``wx`` from the ``_batch_cell``
-    states.  BPTT overwrites each step's slot of the gate buffer with that step's
-    pre-activation gradients, in ``_GATES`` order, once it has read the gates
-    there; the buffer then holds them all for the ``wx`` gradient."""
+def bptt(params, states, dh):
+    """The ``wh`` and ``b`` gradients.  Each step's slot of the gate buffer
+    takes that step's pre-activation gradients, in ``_GATES`` order, once the
+    gates there are read."""
     gates, cells, hiddens = states
     n, b, hid = cells.shape
-    losses, g_w_head, g_b_head, dh = head_grads(
-        hiddens[-1], params.w_head, params.b_head, labels, params.dropout, train, rng)
     dc = np.zeros((b, hid))
     for t in reversed(range(n)):
         z = gates[t]
@@ -152,30 +124,4 @@ def _batch_grads(params, states, labels, train, rng):
             dh = z @ params.wh.T
     dpre = gates.reshape(n * b, -1)
     g_wh = hiddens[:-1].reshape(-1, hid).T @ dpre[b:]
-    return losses, {"wh": g_wh, "b": dpre.sum(axis=0), "w_head": g_w_head, "b_head": g_b_head}
-
-
-def lstm_batch_grads(params: LstmParams, xs: np.ndarray, labels: np.ndarray,
-                     train: bool = True, rng: np.random.Generator | None = None,
-                     want_dx: bool = False):
-    """Per-example losses and batch-mean gradients for a (B, n, d) batch."""
-    gates = _input_projections(params, xs)
-    losses, g = _batch_grads(params, _batch_cell(params, gates), labels, train, rng)
-    n, b, _ = gates.shape
-    dpre = gates.reshape(n * b, -1)
-    g = {"wx": xs.transpose(1, 0, 2).reshape(n * b, -1).T @ dpre, **g}
-    if not want_dx:
-        return losses, g
-    dx = (dpre @ params.wx.T).reshape(n, b, -1).transpose(1, 0, 2)
-    return losses, g, np.ascontiguousarray(dx)
-
-
-def lstm_batch_grads_hashed(params: LstmParams, idx: np.ndarray, labels: np.ndarray,
-                            train: bool = True, rng: np.random.Generator | None = None):
-    """Losses and mean gradients for hashed one-hot index sequences (B, n): the
-    input projections are one row gather from ``wx``, its gradient one
-    ``RowGrad`` from one scatter."""
-    steps = idx.T
-    gates = gather_rows(params.wx, steps)
-    losses, g = _batch_grads(params, _batch_cell(params, gates), labels, train, rng)
-    return losses, {"wx": scatter_rows(gates, steps, params.wx.shape), **g}
+    return {"wh": g_wh, "b": dpre.sum(axis=0)}

@@ -1,6 +1,6 @@
 """What the parameter classes share: the Glorot-uniform draw, the width and
 dropout check, and a tensor table from which cnn, rnn and lstm derive the
-list of their tensors."""
+list of their tensors and their embed, hidden and class sizes."""
 
 from typing import ClassVar
 
@@ -31,6 +31,23 @@ class TensorTable:
 
     def dims(self) -> dict[str, tuple[str, ...]]:
         return dict(self.DIMS)
+
+    def size(self, axis: str) -> int:
+        """The size of the axis named ``axis``, read from the first tensor that has it."""
+        name = next(name for name, axes in self.DIMS.items() if axis in axes)
+        return getattr(self, name).shape[self.DIMS[name].index(axis)]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.size("embed")
+
+    @property
+    def hidden(self) -> int:
+        return self.size("hidden")
+
+    @property
+    def classes(self) -> int:
+        return self.size("classes")
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], **hyper):

@@ -1,8 +1,8 @@
 """Raw sentences to model-ready tokens.
 
 Covers the whole preprocessing path: whitespace/punctuation tokenizer,
-frequency-cutoff vocabulary, 32-bit MurmurHash3 feature hashing and the
-underscore normalization used for pre-segmented Vietnamese words.
+frequency-cutoff vocabulary and 32-bit MurmurHash3 feature hashing.
+Pre-segmented words joined by underscores stay one token.
 """
 
 import re
@@ -96,11 +96,6 @@ def tokenize(text: str) -> list[str]:
     if not tokens:
         raise EmptySentenceError(f"no tokens in input {text!r}")
     return tokens
-
-
-def normalize_vietnamese(tokens: list[str]) -> list[str]:
-    """Join multi-syllable words: spaces inside a token become underscores."""
-    return [token.replace(" ", "_") for token in tokens]
 
 
 @dataclass

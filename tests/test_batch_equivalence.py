@@ -22,10 +22,6 @@ from sentclass.models.cnn import (
     cnn_batch_probs_hashed,
 )
 from sentclass.models.fnn import fnn_batch_loss_grads, fnn_batch_probs
-from sentclass.models.lstm import (lstm_batch_grads, lstm_batch_grads_hashed, lstm_batch_probs,
-                                   lstm_batch_probs_hashed)
-from sentclass.models.rnn import (rnn_batch_grads, rnn_batch_grads_hashed, rnn_batch_probs,
-                                  rnn_batch_probs_hashed)
 from sentclass.harness.data import Dataset
 from sentclass.harness.run import CountEncoder
 from sentclass.tensor import RowGrad, softmax_rows
@@ -33,6 +29,9 @@ from sentclass.text import build_vocabulary
 
 import oracles
 from oracles import count_vector, cross_entropy, densify, grad_check, make_rng
+
+
+RNN, LSTM = M.FAMILIES["rnn"], M.FAMILIES["lstm"]
 
 
 def mean_reference_grads(params, xs, labels, train=False, rng=None):
@@ -256,10 +255,12 @@ class TestCnnHashedPath:
 
 @pytest.mark.parametrize("spec,batch_grads,batch_probs,forward", [
     (M.RnnSpec(embed_dim=4, classes=3, hidden=5, dropout=0.0),
-     rnn_batch_grads, rnn_batch_probs, oracles.rnn_forward),
+     RNN.grads, RNN.probs, oracles.rnn_forward),
     (M.LstmSpec(embed_dim=4, classes=3, hidden=5, dropout=0.0),
-     lstm_batch_grads, lstm_batch_probs, oracles.lstm_forward),
-])
+     LSTM.grads, LSTM.probs, oracles.lstm_forward),
+], ids=[  # fixed ids: lists of passing tests name these cases by them
+    "spec0-rnn_batch_grads-rnn_batch_probs-rnn_forward",
+    "spec1-lstm_batch_grads-lstm_batch_probs-lstm_forward"])
 class TestRecurrentBatch:
     def test_probs_match_per_example(self, spec, batch_grads, batch_probs, forward):
         params = M.init_params(spec, 8)
@@ -311,8 +312,8 @@ class TestRecurrentBatch:
 
 
 @pytest.mark.parametrize("spec,dense_probs,hashed_probs", [
-    (M.RnnSpec(embed_dim=16, classes=3, hidden=5), rnn_batch_probs, rnn_batch_probs_hashed),
-    (M.LstmSpec(embed_dim=16, classes=3, hidden=5), lstm_batch_probs, lstm_batch_probs_hashed),
+    (M.RnnSpec(embed_dim=16, classes=3, hidden=5), RNN.probs, RNN.hashed_probs),
+    (M.LstmSpec(embed_dim=16, classes=3, hidden=5), LSTM.probs, LSTM.hashed_probs),
 ], ids=["rnn", "lstm"])
 def test_recurrent_hashed_probs_match_dense_path(spec, dense_probs, hashed_probs):
     params = M.init_params(spec, 16)
@@ -326,8 +327,8 @@ def test_recurrent_hashed_probs_match_dense_path(spec, dense_probs, hashed_probs
 
 
 RECURRENT_HASHED = {
-    "rnn": (M.RnnSpec, rnn_batch_grads, rnn_batch_grads_hashed),
-    "lstm": (M.LstmSpec, lstm_batch_grads, lstm_batch_grads_hashed),
+    "rnn": (M.RnnSpec, RNN.grads, RNN.hashed_grads),
+    "lstm": (M.LstmSpec, LSTM.grads, LSTM.hashed_grads),
 }
 
 
@@ -466,9 +467,8 @@ class TestLstmFusedShapes:
         params, idx, labels = self.case(batch, steps, hidden)
         xs = np.random.default_rng(1).normal(size=(*idx.shape, self.DIM))
         for route, batch_in, inputs, probs, grads in (
-                ("dense", xs, xs, lstm_batch_probs, lstm_batch_grads),
-                ("hashed", idx, densify(idx, self.DIM), lstm_batch_probs_hashed,
-                 lstm_batch_grads_hashed)):
+                ("dense", xs, xs, LSTM.probs, LSTM.grads),
+                ("hashed", idx, densify(idx, self.DIM), LSTM.hashed_probs, LSTM.hashed_grads)):
             for got, x in zip(probs(params, batch_in), inputs):
                 np.testing.assert_allclose(got, oracles.lstm_forward(params, x)[0], atol=1e-12)
             losses_ref, want = mean_reference_grads(params, inputs, labels)
@@ -479,8 +479,8 @@ class TestLstmFusedShapes:
     def test_grads_by_finite_differences(self, batch, steps, hidden):
         params, idx, labels = self.case(batch, steps, hidden)
         xs = np.random.default_rng(2).normal(size=(*idx.shape, self.DIM))
-        for route, batch_in, grads in (("dense", xs, lstm_batch_grads),
-                                       ("hashed", idx, lstm_batch_grads_hashed)):
+        for route, batch_in, grads in (("dense", xs, LSTM.grads),
+                                       ("hashed", idx, LSTM.hashed_grads)):
             def loss_fn():
                 return float(grads(params, batch_in, labels, train=False)[0].mean())
 
@@ -496,9 +496,9 @@ class TestLstmFusedShapes:
         xs = np.random.default_rng(3).normal(size=(*idx.shape, self.DIM))
 
         def loss_fn():
-            return float(lstm_batch_grads(params, xs, labels, train=False)[0].mean())
+            return float(LSTM.grads(params, xs, labels, train=False)[0].mean())
 
         def grad_fn():
-            return {"xs": lstm_batch_grads(params, xs, labels, train=False, want_dx=True)[2]}
+            return {"xs": LSTM.grads(params, xs, labels, train=False, want_dx=True)[2]}
 
         assert grad_check(loss_fn, grad_fn, {"xs": xs}, max_coords=120) < 1e-4

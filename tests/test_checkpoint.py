@@ -90,11 +90,15 @@ class TestPaddedHeader:
         spec = (M.FnnSpec((40, 3, 2)) if arch == "fnn"
                 else family.spec(embed_dim=40, classes=2, hidden=3))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, M.init_params(spec, 1), {"encoding": "onehot", "labels": ["a"]})
+        params = M.init_params(spec, 1)
+        rows = np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2]  # strided, float32
+        save_checkpoint(path, params, {"encoding": "onehot", "labels": ["a"], "rows": rows})
         blob = path.read_bytes()
         start = tensor_starts(blob)[0]
         assert blob.startswith(MAGIC) and start % ALIGN == 0
         assert blob[start - 1:start] == b"\n" and blob[:start - 1].rstrip(b" ")[-1:] == b"}"
+        tensors = (*params.tensors().values(), rows)
+        assert blob[start:] == b"".join(t.astype("<f8").tobytes() for t in tensors)
 
     def test_unpadded_v3_file_reads_the_same(self, tmp_path):
         # the same header without padding: what a writer before the padding made

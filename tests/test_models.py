@@ -204,17 +204,25 @@ class TestRnnForward:
         _, trace = oracles.rnn_forward(params, np.ones((6, 2)))
         assert trace.hiddens.shape == (6, 3)
 
-    def test_hashed_probs_keep_the_bits_of_the_all_states_buffer(self):
+    @pytest.mark.parametrize("route", ["dense", "hashed"])
+    @pytest.mark.parametrize("arch", ["rnn", "lstm"])
+    def test_probs_keep_the_bits_of_the_all_states_buffer(self, arch, route):
         # eval keeps one state; the gradient route builds every step's state
-        from sentclass.models import rnn
         from sentclass.tensor import gather_rows, softmax_rows
-        params = M.init_params(M.RnnSpec(embed_dim=64, classes=3, hidden=16, dropout=0.1), 2)
+        family, cell = M.FAMILIES[arch], getattr(M, arch)
+        params = M.init_params(family.spec(embed_dim=64, classes=3, hidden=16, dropout=0.1), 2)
+        w = getattr(params, cell.INPUT)
         rng = np.random.default_rng(3)
         for b, n in ((1, 1), (5, 7), (33, 20)):
-            idx = rng.integers(-1, 64, (b, n))
-            hs = rnn._batch_hiddens(params, gather_rows(params.w_in, idx.T))
-            expected = softmax_rows(hs[-1] @ params.w_head + params.b_head)
-            assert np.array_equal(rnn.rnn_batch_probs_hashed(params, idx), expected)
+            if route == "hashed":
+                batch, probs = rng.integers(-1, 64, (b, n)), family.hashed_probs
+                buf = gather_rows(w, batch.T)
+            else:
+                batch, probs = rng.normal(size=(b, n, 64)), family.probs
+                buf = np.matmul(batch.transpose(1, 0, 2), w)
+            hiddens = cell.unroll(params, buf)[-1]
+            expected = softmax_rows(hiddens[-1] @ params.w_head + params.b_head)
+            assert np.array_equal(probs(params, batch), expected)
 
 
 class TestLstmForward:

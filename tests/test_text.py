@@ -10,7 +10,6 @@ from sentclass.text import (
     Vocabulary,
     build_vocabulary,
     hash_index,
-    normalize_vietnamese,
     tokenize,
 )
 
@@ -45,17 +44,6 @@ class TestTokenize:
 
     def test_all_punctuation_chunk(self):
         assert tokenize("--") == ["-", "-"]
-
-
-class TestNormalizeVietnamese:
-    def test_multi_syllable_word(self):
-        assert normalize_vietnamese(["hoc sinh"]) == ["hoc_sinh"]
-
-    def test_single_syllable_unchanged(self):
-        assert normalize_vietnamese(["gioi"]) == ["gioi"]
-
-    def test_idempotent_on_underscored(self):
-        assert normalize_vietnamese(["hoc_sinh"]) == ["hoc_sinh"]
 
 
 class TestBuildVocabulary:
